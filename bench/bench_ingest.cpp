@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
   telemetry::TelemetrySampler sampler(sampler_config);
 
   ingest::BoundedQueue<ingest::SpoolFile> queue(kQueueCapacity);
-  telemetry::register_gauge("ingest.queue.depth", [&queue] {
+  global_metrics().register_gauge("ingest.queue.depth", [&queue] {
     return static_cast<double>(queue.depth());
   });
   ingest::SpoolWatcher watcher(ingest::SpoolConfig{dir.file("spool")});
@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
   sampler.tick();
   // Neutralise the gauge before `queue` dies: the registry is global
   // and a later tick from another user would read a dangling ref.
-  telemetry::register_gauge("ingest.queue.depth", [] { return 0.0; });
+  global_metrics().register_gauge("ingest.queue.depth", [] { return 0.0; });
 
   // Export + validate the telemetry file, then read the latency
   // distribution back off disk -- the same path an operator takes.

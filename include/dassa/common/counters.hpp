@@ -1,72 +1,16 @@
-// DASSA common: instrumentation counters.
+// DASSA common: the canonical counter names.
 //
 // The paper's central performance arguments are *counting* arguments:
 // O(n) broadcasts vs O(n/p) exchanges (Section IV-B), 16x fewer I/O
 // calls under HAEE (Section VI-C), k-fold master-channel duplication
 // (Section V-B). On this reproduction's single-node substrate those
-// counts are measured exactly through this registry, and reported by
-// the benches next to wall time.
+// counts are measured exactly through the metrics registry
+// (metrics.hpp), and reported by the benches next to wall time.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
-
-#include "dassa/common/sync.hpp"
+#include "dassa/common/metrics.hpp"
 
 namespace dassa {
-
-/// Thread-safe named counter registry. Counters are created on first
-/// use and live for the registry's lifetime.
-class CounterRegistry {
- public:
-  /// Add `delta` to counter `name`.
-  void add(const std::string& name, std::uint64_t delta = 1) {
-    MutexLock lock(mu_);
-    counters_[name] += delta;
-  }
-
-  /// Track a high-water mark: sets counter `name` to max(current, value).
-  void high_water(const std::string& name, std::uint64_t value) {
-    MutexLock lock(mu_);
-    auto& c = counters_[name];
-    if (value > c) c = value;
-  }
-
-  [[nodiscard]] std::uint64_t get(const std::string& name) const {
-    MutexLock lock(mu_);
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-  }
-
-  void reset() {
-    MutexLock lock(mu_);
-    counters_.clear();
-  }
-
-  [[nodiscard]] std::map<std::string, std::uint64_t> snapshot() const {
-    MutexLock lock(mu_);
-    return counters_;
-  }
-
-  friend std::ostream& operator<<(std::ostream& os,
-                                  const CounterRegistry& reg) {
-    for (const auto& [k, v] : reg.snapshot()) {
-      os << "  " << k << " = " << v << "\n";
-    }
-    return os;
-  }
-
- private:
-  mutable Mutex mu_;
-  std::map<std::string, std::uint64_t> counters_ DASSA_GUARDED_BY(mu_);
-};
-
-/// Process-global registry used by the I/O layer and MiniMPI.
-/// Benches reset() it at the start of each experiment.
-CounterRegistry& global_counters();
 
 /// Canonical counter names used across DASSA, kept in one place so the
 /// benches and the instrumented layers cannot drift apart.
@@ -87,9 +31,8 @@ inline constexpr const char* kMpiBarriers = "mpi.barriers";
 inline constexpr const char* kMemMasterChannelCopies =
     "mem.master_channel_copies";
 inline constexpr const char* kMemPeakBytesModeled = "mem.peak_bytes_modeled";
-// DSP cache statistics. The dsp layer accumulates these in lock-free
-// atomics (a mutex per transform would serialise worker threads) and
-// copies them here via dsp::publish_dsp_counters().
+// DSP cache statistics, charged by the FFT plan cache and the filter
+// design caches on every lookup (dsp/stats.hpp).
 inline constexpr const char* kDspFftPlanHits = "dsp.fft.plan_hits";
 inline constexpr const char* kDspFftPlanMisses = "dsp.fft.plan_misses";
 inline constexpr const char* kDspFftBytesAllocated =
@@ -101,10 +44,8 @@ inline constexpr const char* kDspResampleDesignHits =
     "dsp.resample.design_hits";
 inline constexpr const char* kDspResampleDesignMisses =
     "dsp.resample.design_misses";
-// Storage engine statistics (DASH5 v3). The codec pipeline and the
-// chunk cache charge these directly: their per-event rate matches the
-// file layer's per-I/O-call rate, so the same mutex-protected registry
-// is the right cost class.
+// Storage engine statistics (DASH5 v3), charged by the codec pipeline
+// and the chunk cache.
 inline constexpr const char* kIoCodecEncodeCalls = "io.codec.encode_calls";
 inline constexpr const char* kIoCodecDecodeCalls = "io.codec.decode_calls";
 inline constexpr const char* kIoCodecBytesRaw = "io.codec.bytes_raw";
@@ -131,14 +72,14 @@ inline constexpr const char* kIoRepackSourceBytes = "io.repack.source_bytes";
 inline constexpr const char* kIoRepackStoredBytes = "io.repack.stored_bytes";
 // HAEE engine statistics: distributed runs, rank-threads launched, and
 // halo traffic, updated concurrently from MiniMPI rank threads (they
-// double as TSan coverage of this registry).
+// double as TSan coverage of the registry).
 inline constexpr const char* kHaeeRuns = "haee.runs";
 inline constexpr const char* kHaeeRanksLaunched = "haee.ranks_launched";
 inline constexpr const char* kHaeeHaloExchanges = "haee.halo_exchanges";
 inline constexpr const char* kHaeeHaloOverlapReads =
     "haee.halo_overlap_reads";
-// Tracer self-statistics, published idempotently (high_water) by
-// trace::publish_trace_counters() from the tracer's own atomics.
+// Tracer self-statistics, charged by the tracer as spans complete and
+// threads register their span rings.
 inline constexpr const char* kTraceSpansEmitted = "trace.spans_emitted";
 inline constexpr const char* kTraceSpansDropped = "trace.spans_dropped";
 inline constexpr const char* kTraceThreads = "trace.threads";
@@ -211,8 +152,8 @@ inline constexpr const char* kServeBatchUnionReads =
 inline constexpr const char* kServeSlowRequests = "serve.slow_requests";
 // kStats protocol (src/serve/stats.cpp): live snapshot requests
 // answered over the audited socket layer, by both the das_serve main
-// socket and the das_ingest stats listener. das_top excludes stats.*
-// from its progress scan so its own polling never masks a stall.
+// socket and the das_ingest stats listener. The stall rule excludes
+// stats.* from progress so a poller never masks the stall it watches.
 inline constexpr const char* kStatsConnections = "stats.connections";
 inline constexpr const char* kStatsRequests = "stats.requests";
 inline constexpr const char* kStatsBadFrames = "stats.bad_frames";

@@ -4,8 +4,8 @@
 // counters answer "how much work happened" in total. Neither answers
 // the operator's question *during* a long HAEE campaign: is the
 // pipeline still making progress, and at what rate? The TelemetrySampler
-// closes that gap -- a background thread snapshots every global
-// counter, registered gauge, histogram percentile, and the process's
+// closes that gap -- a background thread snapshots the metrics registry
+// (every counter, gauge and histogram percentile) and the process's
 // resource usage (RSS, peak RSS, user/sys CPU) into an in-memory
 // timeline at a configurable period. The timeline exports as JSONL
 // ("dassa.telemetry.v1", one typed record per line) and parses back
@@ -22,13 +22,13 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "dassa/common/metrics.hpp"
 #include "dassa/common/sync.hpp"
 
 namespace dassa::telemetry {
@@ -49,35 +49,28 @@ struct ResourceUsage {
 
 [[nodiscard]] ResourceUsage sample_resources();
 
-/// A gauge is a point-in-time reading (queue depth, cache occupancy)
-/// as opposed to a monotonic counter. Subsystems register one function
-/// per name; registering an existing name replaces the reader (so
-/// re-created singletons stay current). Gauge functions must be
-/// thread-safe: the sampler thread calls them.
-using GaugeFn = std::function<double()>;
-void register_gauge(const std::string& name, GaugeFn fn);
-
-/// Read every registered gauge now. Built-in gauges
-/// (trace.open_spans, trace.dropped_spans, log.records) are always
-/// present.
-[[nodiscard]] std::map<std::string, double> read_gauges();
-
-/// One timeline entry: everything observable about the process at one
-/// instant. Counter values are cumulative; gauges are instantaneous.
+/// One timeline entry: the registry snapshot (metrics.hpp) plus the
+/// sample's sequence number and the process's resource usage.
 /// Histogram percentiles are folded into `gauges` as
-/// "hist.<name>.p50_ns" / ".p95_ns" / ".p99_ns" / ".count".
-struct Sample {
-  std::uint64_t seq = 0;      ///< contiguous from 0 per timeline
-  std::uint64_t wall_ns = 0;  ///< trace clock (ns since process epoch)
+/// "hist.<name>.p50_ns" / ".p95_ns" / ".p99_ns" / ".count" -- the JSONL
+/// sample record carries no bucket arrays -- so `hists` stays empty.
+struct Sample : MetricsSnapshot {
+  std::uint64_t seq = 0;  ///< contiguous from 0 per timeline
   ResourceUsage res;
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
 };
+
+/// The one stall rule (das_health, das_top): zero counter progress
+/// from `prev` to `cur` while work is in flight in `cur` -- spans open
+/// (trace.open_spans) or requests queued (serve.queue.depth,
+/// ingest.queue.depth). Progress excludes telemetry.samples and
+/// stats.*, which the observers themselves advance. Both snapshots
+/// must come from one process, `prev` first.
+[[nodiscard]] bool stalled(const MetricsSnapshot& prev,
+                           const MetricsSnapshot& cur);
 
 struct SamplerConfig {
   std::chrono::milliseconds period{250};
   std::size_t max_samples = 1 << 14;  ///< timeline cap; extra ticks drop
-  bool include_histograms = true;     ///< fold percentiles into gauges
 };
 
 /// Periodic sampler. start() launches one background thread; stop()
@@ -196,8 +189,8 @@ void validate_telemetry_file(const TelemetryFile& file);
 
 /// Render the operator-facing health report: stage throughput and time
 /// breakdown, resource ceiling, cache/codec efficiency, per-rank
-/// imbalance table, merged percentiles, and stall warnings (sampler
-/// intervals with zero counter progress while spans were open).
+/// imbalance table, merged percentiles, and a warning for every
+/// sampler interval that is stalled().
 void write_health_report(std::ostream& os, const TelemetryFile& file);
 
 }  // namespace dassa::telemetry

@@ -89,10 +89,6 @@ void clear();
   return n > 0 ? static_cast<std::uint64_t>(n) : 0;
 }
 
-/// Copy the tracer's own statistics (trace.spans_emitted,
-/// trace.spans_dropped, trace.threads) into global_counters().
-void publish_trace_counters();
-
 // ---- exporters -------------------------------------------------------
 
 /// chrome://tracing JSON ("traceEvents" array of balanced "B"/"E"
@@ -105,6 +101,16 @@ void write_chrome_trace(std::ostream& os,
 /// drawn from the global metrics histograms (falls back to exact
 /// quantiles over `events` for spans with no histogram).
 void write_summary(std::ostream& os, const std::vector<TraceEvent>& events);
+
+namespace detail {
+/// One write_summary row: name, category, count, total ms, then
+/// p50/p95/p99 in microseconds, each column separated by at least one
+/// space however wide its value.
+void write_summary_row(std::ostream& os, const std::string& name,
+                       const std::string& cat, std::uint64_t count,
+                       double total_ms, double p50_us, double p95_us,
+                       double p99_us);
+}  // namespace detail
 
 // ---- chrome-trace inspection (das_trace, schema tests) ---------------
 

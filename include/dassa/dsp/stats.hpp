@@ -1,21 +1,18 @@
 // DasLib: DSP-layer performance statistics.
 //
 // The FFT plan cache, Butterworth design cache, and resample filter
-// cache sit on the hottest per-channel paths, where a mutex-protected
-// counter per transform would serialise ApplyMT/HAEE worker threads.
-// They therefore record hits/misses/bytes in lock-free relaxed atomics,
-// and `publish_dsp_counters()` copies the totals into the process-wide
-// `global_counters()` registry on demand (benches and tools call it
-// once before printing a summary).
+// cache sit on the hottest per-channel paths. They charge the dsp.*
+// registry counters (common/counters.hpp) through references resolved
+// once, so a lookup costs one relaxed atomic add and every live
+// snapshot of the process already carries the totals.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 namespace dassa::dsp {
 
-/// Monotonic snapshot of the DSP caches' behaviour since process start
-/// (or the last `reset_dsp_stats()`).
+/// The DSP caches' behaviour since process start (or the last
+/// global_counters().reset()).
 struct DspStats {
   std::uint64_t fft_plan_hits = 0;    ///< plan-cache lookups that hit
   std::uint64_t fft_plan_misses = 0;  ///< lookups that built a new plan
@@ -29,34 +26,7 @@ struct DspStats {
   std::uint64_t resample_design_misses = 0;
 };
 
-/// Consistent-enough snapshot of the atomics (each cell read relaxed).
+/// Read of the dsp.* counters (each cell read relaxed).
 [[nodiscard]] DspStats dsp_stats();
-
-/// Zeroes every cell. Tests and benches call this between experiments.
-void reset_dsp_stats();
-
-/// Copies the current totals into `global_counters()` under the
-/// `dsp.*` names from common/counters.hpp. Uses high_water semantics so
-/// repeated publishes refresh rather than double-count.
-void publish_dsp_counters();
-
-namespace detail {
-
-/// The raw cells. Incremented with relaxed ordering from kernel code;
-/// exposed so the dsp translation units can share them without a
-/// function call per event.
-struct DspStatCells {
-  std::atomic<std::uint64_t> fft_plan_hits{0};
-  std::atomic<std::uint64_t> fft_plan_misses{0};
-  std::atomic<std::uint64_t> fft_bytes_allocated{0};
-  std::atomic<std::uint64_t> butter_design_hits{0};
-  std::atomic<std::uint64_t> butter_design_misses{0};
-  std::atomic<std::uint64_t> resample_design_hits{0};
-  std::atomic<std::uint64_t> resample_design_misses{0};
-};
-
-DspStatCells& dsp_stat_cells();
-
-}  // namespace detail
 
 }  // namespace dassa::dsp

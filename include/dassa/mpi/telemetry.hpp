@@ -22,11 +22,9 @@
 
 namespace dassa::mpi {
 
-/// One rank's contribution: named counters plus histogram snapshots.
-struct RankTelemetry {
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, HistogramSnapshot> hists;
-};
+/// One rank's contribution: named counters plus histogram snapshots,
+/// gathered through the snapshot codec (metrics.hpp).
+using RankTelemetry = MetricsSnapshot;
 
 /// Cluster-wide aggregate of one counter.
 struct CounterAggregate {

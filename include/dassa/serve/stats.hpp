@@ -3,24 +3,21 @@
 // A running daemon's telemetry used to be post-mortem only -- JSONL
 // written at exit, inspected by das_health. kStats closes that gap:
 // any client can send a one-byte kStatsRequest frame over the audited
-// socket layer and get back a versioned snapshot of every global
-// counter, every registered gauge, and the exact 64-bucket contents of
-// every latency histogram. das_serve answers it inline on its main
-// socket; das_ingest exposes a dedicated StatsListener. das_top polls
-// either, diffs consecutive snapshots, and renders the live view.
+// socket layer and get back the process's metrics snapshot
+// (snapshot_metrics(): every counter, every gauge, and the exact
+// 64-bucket contents and [min, max] of every latency histogram).
+// das_serve answers it inline on its main socket; das_ingest exposes a
+// dedicated StatsListener. das_top polls either, diffs consecutive
+// snapshots, and renders the live view.
 //
-// The wire format follows the untrusted-byte discipline of
-// protocol.cpp: bounded entry counts before any allocation, bounded
-// name lengths, strictly increasing names (the encoder walks sorted
-// maps, so anything else is a forgery), strictly increasing bucket
-// indexes, histogram counts that must equal their bucket sums, and an
-// exact-consumption check. Every violation is dassa::FormatError.
+// A kStatsOk frame is the kStatsOk type byte followed by the snapshot
+// codec's bytes (metrics.hpp: versioned, strictly validated). Every
+// violation is dassa::FormatError.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -33,46 +30,8 @@
 
 namespace dassa::serve {
 
-/// Wire-format version stamped into every kStatsOk frame; a decoder
-/// refuses anything else rather than guessing at field layouts.
-inline constexpr std::uint32_t kStatsVersion = 1;
-
-/// Ceilings a decoder enforces before allocating: entries per section
-/// and bytes per metric name.
-inline constexpr std::size_t kMaxStatsEntries = 4096;
-inline constexpr std::size_t kMaxStatsNameBytes = 256;
-
-/// One live snapshot of a process's observable state. Counters are
-/// cumulative, gauges instantaneous, histograms bucket-exact (so a
-/// poller can diff two snapshots into an interval view with
-/// HistogramSnapshot::diff). `wall_ns` is the daemon's trace clock at
-/// snapshot time -- deltas between two snapshots give the exact
-/// sampling interval without any client/daemon clock agreement.
-struct StatsSnapshot {
-  std::uint32_t version = kStatsVersion;
-  std::uint64_t wall_ns = 0;
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
-  std::map<std::string, HistogramSnapshot> hists;
-
-  friend bool operator==(const StatsSnapshot&, const StatsSnapshot&) = default;
-};
-
-/// Snapshot this process now: global counters, registered gauges
-/// (telemetry::read_gauges), and every histogram in global_metrics().
-/// The snapshot is reconciled (below) before it is returned, so
-/// encoding it always yields a decodable frame.
-[[nodiscard]] StatsSnapshot collect_process_stats();
-
-/// Derive every histogram's count from its bucket sum. A live
-/// LatencyHistogram updates buckets and count as independent relaxed
-/// atomics, so a registry snapshot taken against concurrent
-/// record_ns() can be torn -- count ahead of or behind the bucket sum
-/// -- while the wire format pins count == sum(buckets). Reconciling on
-/// the encoding side keeps every frame a daemon emits self-consistent
-/// (the strict decoder check stays, guarding against forgeries);
-/// records in flight at snapshot time surface in the next poll.
-void reconcile_torn_histograms(StatsSnapshot& s);
+/// A kStats reply: the process's metrics snapshot.
+using StatsSnapshot = MetricsSnapshot;
 
 [[nodiscard]] std::vector<std::byte> encode_stats_request();
 [[nodiscard]] std::vector<std::byte> encode_stats(const StatsSnapshot& s);
@@ -80,10 +39,8 @@ void reconcile_torn_histograms(StatsSnapshot& s);
 /// Validate a received kStatsRequest frame (exactly one type byte).
 void decode_stats_request(const std::vector<std::byte>& frame);
 
-/// Decode a kStatsOk frame; throws FormatError on version mismatch,
-/// truncation, trailing bytes, oversized or unsorted sections, bucket
-/// indexes out of range, or a histogram count that disagrees with its
-/// bucket sum.
+/// Decode a kStatsOk frame; throws FormatError on a wrong type byte or
+/// anything decode_snapshot() refuses.
 [[nodiscard]] StatsSnapshot decode_stats(const std::vector<std::byte>& frame);
 
 /// One kStats round trip on an established connection (das_top's poll

@@ -16,9 +16,6 @@
 
 #include "dassa/common/counters.hpp"
 #include "dassa/common/error.hpp"
-#include "dassa/common/log.hpp"
-#include "dassa/common/metrics.hpp"
-#include "dassa/common/trace.hpp"
 #include "json.hpp"
 
 namespace dassa::telemetry {
@@ -57,56 +54,22 @@ ResourceUsage sample_resources() {
   return res;
 }
 
-namespace {
-
-struct GaugeRegistry {
-  Mutex mu;
-  std::map<std::string, GaugeFn> gauges DASSA_GUARDED_BY(mu);
-};
-
-GaugeRegistry& gauge_registry() {
-  static GaugeRegistry reg;
-  // Built-in gauges: the tracer's in-flight and dropped spans (the
-  // stall detector keys off open spans) and the log record count.
-  static const bool builtins_installed = [] {
-    MutexLock lock(reg.mu);
-    reg.gauges["trace.open_spans"] = [] {
-      return static_cast<double>(trace::open_spans());
-    };
-    reg.gauges["trace.dropped_spans"] = [] {
-      return static_cast<double>(trace::dropped_spans());
-    };
-    reg.gauges["log.records"] = [] {
-      return static_cast<double>(log_records_emitted());
-    };
-    return true;
-  }();
-  (void)builtins_installed;
-  return reg;
-}
-
-}  // namespace
-
-void register_gauge(const std::string& name, GaugeFn fn) {
-  DASSA_CHECK(!name.empty(), "gauge name must be non-empty");
-  DASSA_CHECK(static_cast<bool>(fn), "gauge function must be callable");
-  GaugeRegistry& reg = gauge_registry();
-  MutexLock lock(reg.mu);
-  reg.gauges[name] = std::move(fn);
-}
-
-std::map<std::string, double> read_gauges() {
-  std::map<std::string, GaugeFn> fns;
-  {
-    GaugeRegistry& reg = gauge_registry();
-    MutexLock lock(reg.mu);
-    fns = reg.gauges;
+bool stalled(const MetricsSnapshot& prev, const MetricsSnapshot& cur) {
+  DASSA_CHECK(cur.wall_ns >= prev.wall_ns,
+              "stall check needs two snapshots in time order");
+  for (const auto& [name, value] : cur.counters) {
+    if (name == counters::kTelemetrySamples || name.starts_with("stats.")) {
+      continue;
+    }
+    const auto it = prev.counters.find(name);
+    if (it == prev.counters.end() || value != it->second) return false;
   }
-  // Call outside the lock: a gauge may itself take locks (queue depth,
-  // cache occupancy) and must not order against registration.
-  std::map<std::string, double> out;
-  for (const auto& [name, fn] : fns) out.emplace(name, fn());
-  return out;
+  const auto gauge = [&cur](const char* name) {
+    const auto it = cur.gauges.find(name);
+    return it == cur.gauges.end() ? 0.0 : it->second;
+  };
+  return gauge("trace.open_spans") > 0 || gauge("serve.queue.depth") > 0 ||
+         gauge("ingest.queue.depth") > 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -159,20 +122,17 @@ void TelemetrySampler::tick() {
   global_counters().add(counters::kTelemetrySamples);
 
   Sample s;
-  s.wall_ns = trace::detail::now_ns();
+  static_cast<MetricsSnapshot&>(s) = snapshot_metrics();
   s.res = sample_resources();
-  s.counters = global_counters().snapshot();
-  s.gauges = read_gauges();
-  if (cfg_.include_histograms) {
-    for (const auto& [name, h] : global_metrics().snapshot()) {
-      if (h.count == 0) continue;
-      const std::string base = "hist." + name;
-      s.gauges[base + ".count"] = static_cast<double>(h.count);
-      s.gauges[base + ".p50_ns"] = h.quantile_ns(0.50);
-      s.gauges[base + ".p95_ns"] = h.quantile_ns(0.95);
-      s.gauges[base + ".p99_ns"] = h.quantile_ns(0.99);
-    }
+  for (const auto& [name, h] : s.hists) {
+    if (h.count == 0) continue;
+    const std::string base = "hist." + name;
+    s.gauges[base + ".count"] = static_cast<double>(h.count);
+    s.gauges[base + ".p50_ns"] = h.quantile_ns(0.50);
+    s.gauges[base + ".p95_ns"] = h.quantile_ns(0.95);
+    s.gauges[base + ".p99_ns"] = h.quantile_ns(0.99);
   }
+  s.hists.clear();
 
   MutexLock lock(mu_);
   if (samples_.size() >= cfg_.max_samples) {
@@ -225,30 +185,18 @@ void append_double(std::string& out, double v) {
   out += buf;
 }
 
-void append_counter_map(std::string& out,
-                        const std::map<std::string, std::uint64_t>& m) {
-  out += '{';
-  bool first = true;
-  for (const auto& [k, v] : m) {
-    if (!first) out += ',';
-    first = false;
-    jsonio::escape(out, k);
-    out += ':';
-    append_u64(out, v);
-  }
-  out += '}';
-}
+void append_value(std::string& out, std::uint64_t v) { append_u64(out, v); }
+void append_value(std::string& out, double v) { append_double(out, v); }
 
-void append_gauge_map(std::string& out,
-                      const std::map<std::string, double>& m) {
+/// A counter or gauge map as one JSON object.
+template <class Value>
+void append_map(std::string& out, const std::map<std::string, Value>& m) {
   out += '{';
-  bool first = true;
   for (const auto& [k, v] : m) {
-    if (!first) out += ',';
-    first = false;
+    if (out.back() != '{') out += ',';
     jsonio::escape(out, k);
     out += ':';
-    append_double(out, v);
+    append_value(out, v);
   }
   out += '}';
 }
@@ -286,9 +234,9 @@ void write_telemetry_file(std::ostream& os, const TelemetryFile& file) {
     line += ",\"sys_cpu_ns\":";
     append_u64(line, s.res.sys_cpu_ns);
     line += ",\"counters\":";
-    append_counter_map(line, s.counters);
+    append_map(line, s.counters);
     line += ",\"gauges\":";
-    append_gauge_map(line, s.gauges);
+    append_map(line, s.gauges);
     line += "}\n";
     os << line;
   }
@@ -312,7 +260,7 @@ void write_telemetry_file(std::ostream& os, const TelemetryFile& file) {
     line += "{\"type\":\"rank\",\"rank\":";
     line += std::to_string(r.rank);
     line += ",\"counters\":";
-    append_counter_map(line, r.counters);
+    append_map(line, r.counters);
     line += "}\n";
     os << line;
   }
@@ -717,34 +665,18 @@ void write_health_report(std::ostream& os, const TelemetryFile& file) {
     }
   }
 
-  // Stall scan: an interval with zero counter progress while spans
-  // were open means work was nominally in flight but nothing retired.
   std::size_t stalls = 0;
   for (std::size_t i = 1; i < file.samples.size(); ++i) {
     const Sample& prev = file.samples[i - 1];
     const Sample& cur = file.samples[i];
-    std::uint64_t progress = 0;
-    for (const auto& [name, value] : cur.counters) {
-      const auto it = prev.counters.find(name);
-      // The sampler's own tick always advances telemetry.samples;
-      // exclude it so a stalled pipeline is not masked by the sampler.
-      if (name == counters::kTelemetrySamples) continue;
-      progress += value - (it == prev.counters.end() ? 0 : it->second);
-    }
-    const auto open_it = cur.gauges.find("trace.open_spans");
-    const bool spans_open =
-        open_it != cur.gauges.end() && open_it->second > 0;
-    if (progress == 0 && spans_open) {
-      ++stalls;
-      std::snprintf(
-          buf, sizeof buf,
-          "WARNING: stall: no counter progress in sample interval %zu -> "
-          "%zu (%.1f ms) while %.0f span(s) open\n",
-          i - 1, i,
-          static_cast<double>(cur.wall_ns - prev.wall_ns) / 1e6,
-          open_it->second);
-      os << buf;
-    }
+    if (!stalled(prev, cur)) continue;
+    ++stalls;
+    std::snprintf(buf, sizeof buf,
+                  "WARNING: stall: no counter progress in sample interval "
+                  "%zu -> %zu (%.1f ms) with work in flight\n",
+                  i - 1, i,
+                  static_cast<double>(cur.wall_ns - prev.wall_ns) / 1e6);
+    os << buf;
   }
   if (stalls == 0 && file.samples.size() > 1) {
     os << "\nno stalls detected across "

@@ -22,11 +22,6 @@ std::atomic<std::int64_t> g_open_spans{0};
 
 namespace {
 
-// Cumulative tracer statistics (survive clear(), published idempotently
-// via high_water like the dsp stats).
-std::atomic<std::uint64_t> g_spans_emitted{0};
-std::atomic<std::uint64_t> g_spans_dropped{0};
-
 struct SpanRecord {
   const char* name;
   const char* cat;
@@ -54,7 +49,6 @@ struct Registry {
   Mutex mu;
   std::vector<std::shared_ptr<ThreadBuffer>> buffers DASSA_GUARDED_BY(mu);
   std::uint32_t next_tid DASSA_GUARDED_BY(mu) = 1;
-  std::uint32_t threads_seen DASSA_GUARDED_BY(mu) = 0;
   std::size_t ring_capacity DASSA_GUARDED_BY(mu) = kDefaultRingCapacity;
 };
 
@@ -88,7 +82,9 @@ ThreadBuffer& local_buffer() {
       // the same acquisition order clear() uses.
       MutexLock buf_lock(buf->mu);
       buf->tid = reg.next_tid++;
-      ++reg.threads_seen;
+      static Counter& threads =
+          global_counters().counter(counters::kTraceThreads);
+      threads.add();
       buf->capacity = reg.ring_capacity;
       buf->spans.reserve(buf->capacity);
       buf->rank = t_rank;
@@ -123,6 +119,11 @@ void emit_span(const char* cat, const char* name, std::uint64_t start_ns,
   DASSA_CHECK(cat != nullptr && name != nullptr,
               "trace span category and name must be string literals");
   const std::uint64_t dur = end_ns >= start_ns ? end_ns - start_ns : 0;
+  // The tracer's own statistics, cumulative across clear().
+  static Counter& emitted =
+      global_counters().counter(counters::kTraceSpansEmitted);
+  static Counter& dropped =
+      global_counters().counter(counters::kTraceSpansDropped);
   ThreadBuffer& buf = local_buffer();
   {
     MutexLock lock(buf.mu);
@@ -130,10 +131,10 @@ void emit_span(const char* cat, const char* name, std::uint64_t start_ns,
       buf.spans.push_back(SpanRecord{name, cat, start_ns, dur});
     } else {
       ++buf.dropped;
-      g_spans_dropped.fetch_add(1, std::memory_order_relaxed);
+      dropped.add();
     }
   }
-  g_spans_emitted.fetch_add(1, std::memory_order_relaxed);
+  emitted.add();
   global_metrics().histogram(name).record_ns(dur);
 }
 
@@ -214,21 +215,6 @@ std::uint64_t dropped_spans() {
     total += buf->dropped;
   }
   return total;
-}
-
-void publish_trace_counters() {
-  auto& reg = global_counters();
-  reg.high_water(counters::kTraceSpansEmitted,
-                 g_spans_emitted.load(std::memory_order_relaxed));
-  reg.high_water(counters::kTraceSpansDropped,
-                 g_spans_dropped.load(std::memory_order_relaxed));
-  std::uint32_t threads = 0;
-  {
-    Registry& r = registry();
-    MutexLock lock(r.mu);
-    threads = r.threads_seen;
-  }
-  reg.high_water(counters::kTraceThreads, threads);
 }
 
 // ---------------------------------------------------------------------------
@@ -314,6 +300,29 @@ void write_chrome_trace(std::ostream& os,
   os << "\n]}\n";
 }
 
+namespace detail {
+
+void write_summary_row(std::ostream& os, const std::string& name,
+                       const std::string& cat, std::uint64_t count,
+                       double total_ms, double p50_us, double p95_us,
+                       double p99_us) {
+  // At least one space between columns, always: an over-wide name or
+  // count shifts its row instead of fusing with the next column.
+  const auto pad = [&os](const std::string& s, std::size_t w) {
+    os << s << ' ';
+    for (std::size_t i = s.size(); i < w; ++i) os << ' ';
+  };
+  pad(name, 37);
+  pad(cat, 8);
+  char nums[160];
+  std::snprintf(nums, sizeof nums, "%7llu %10.3f %10.3f %10.3f %10.3f\n",
+                static_cast<unsigned long long>(count), total_ms, p50_us,
+                p95_us, p99_us);
+  os << nums;
+}
+
+}  // namespace detail
+
 void write_summary(std::ostream& os, const std::vector<TraceEvent>& events) {
   struct Agg {
     const char* cat = "";
@@ -361,27 +370,12 @@ void write_summary(std::ostream& os, const std::vector<TraceEvent>& events) {
 
   os << "span                                  cat        count"
      << "   total_ms     p50_us     p95_us     p99_us\n";
-  const auto pad = [&os](const std::string& s, std::size_t w) {
-    os << s;
-    for (std::size_t i = s.size(); i < w; ++i) os << ' ';
-  };
-  const auto num = [&os](double v, int width) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%*.3f", width, v);
-    os << buf;
-  };
   for (auto& [name, agg] : rows) {
-    pad(name, 38);
-    pad(agg->cat, 9);
-    char cnt[16];
-    std::snprintf(cnt, sizeof cnt, "%7llu",
-                  static_cast<unsigned long long>(agg->count));
-    os << cnt;
-    num(static_cast<double>(agg->total_ns) / 1e6, 11);
-    num(quantile_us(name, *agg, 0.50), 11);
-    num(quantile_us(name, *agg, 0.95), 11);
-    num(quantile_us(name, *agg, 0.99), 11);
-    os << "\n";
+    detail::write_summary_row(os, name, agg->cat, agg->count,
+                              static_cast<double>(agg->total_ns) / 1e6,
+                              quantile_us(name, *agg, 0.50),
+                              quantile_us(name, *agg, 0.95),
+                              quantile_us(name, *agg, 0.99));
   }
   if (const std::uint64_t dropped = dropped_spans(); dropped > 0) {
     os << "(" << dropped << " span(s) dropped: ring full)\n";

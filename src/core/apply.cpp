@@ -55,13 +55,15 @@ Stencil row_stencil(const LocalBlock& block, std::size_t owned_row) {
 // pool chunk), so the sampler can tell a busy pipeline from a stalled
 // one without taxing the per-cell hot loop.
 void charge_cells(std::size_t n) {
-  global_counters().add(counters::kTelemetryCellsProcessed,
-                        static_cast<std::uint64_t>(n));
+  static Counter& cells =
+      global_counters().counter(counters::kTelemetryCellsProcessed);
+  cells.add(n);
 }
 
 void charge_rows(std::size_t n) {
-  global_counters().add(counters::kTelemetryRowsProcessed,
-                        static_cast<std::uint64_t>(n));
+  static Counter& rows =
+      global_counters().counter(counters::kTelemetryRowsProcessed);
+  rows.add(n);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 
 #include "dassa/common/error.hpp"
 #include "dassa/common/sync.hpp"
-#include "dassa/dsp/stats.hpp"
+#include "dassa/common/counters.hpp"
 
 namespace dassa::dsp {
 
@@ -176,12 +176,15 @@ FilterCoeffs cached_design(ButterKind kind, int order, double w1, double w2,
                            FilterCoeffs (*design)(int, double, double)) {
   DesignCache& cache = design_cache();
   const DesignKey key{static_cast<int>(kind), order, w1, w2};
-  auto& cells = detail::dsp_stat_cells();
+  static Counter& hits =
+      global_counters().counter(counters::kDspButterDesignHits);
+  static Counter& misses =
+      global_counters().counter(counters::kDspButterDesignMisses);
   {
     ReaderLock lock(cache.mu);
     auto it = cache.designs.find(key);
     if (it != cache.designs.end()) {
-      cells.butter_design_hits.fetch_add(1, std::memory_order_relaxed);
+      hits.add();
       return it->second;
     }
   }
@@ -189,9 +192,9 @@ FilterCoeffs cached_design(ButterKind kind, int order, double w1, double w2,
   WriterLock lock(cache.mu);
   auto [it, inserted] = cache.designs.emplace(key, std::move(designed));
   if (inserted) {
-    cells.butter_design_misses.fetch_add(1, std::memory_order_relaxed);
+    misses.add();
   } else {
-    cells.butter_design_hits.fetch_add(1, std::memory_order_relaxed);
+    hits.add();
   }
   return it->second;
 }

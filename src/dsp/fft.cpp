@@ -7,7 +7,7 @@
 #include "dassa/common/error.hpp"
 #include "dassa/common/sync.hpp"
 #include "dassa/common/trace.hpp"
-#include "dassa/dsp/stats.hpp"
+#include "dassa/common/counters.hpp"
 
 namespace dassa::dsp {
 
@@ -18,8 +18,9 @@ constexpr std::size_t kSlotBluestein = 0;
 constexpr std::size_t kSlotRealPack = 1;
 
 void count_bytes(std::size_t bytes) {
-  detail::dsp_stat_cells().fft_bytes_allocated.fetch_add(
-      bytes, std::memory_order_relaxed);
+  static Counter& allocated =
+      global_counters().counter(counters::kDspFftBytesAllocated);
+  allocated.add(bytes);
 }
 
 }  // namespace
@@ -137,12 +138,14 @@ PlanCache& plan_cache() {
 std::shared_ptr<const FftPlan> FftPlan::get(std::size_t n) {
   DASSA_CHECK(n >= 1, "FFT plan requires length >= 1");
   PlanCache& cache = plan_cache();
-  auto& cells = detail::dsp_stat_cells();
+  static Counter& hits = global_counters().counter(counters::kDspFftPlanHits);
+  static Counter& misses =
+      global_counters().counter(counters::kDspFftPlanMisses);
   {
     ReaderLock lock(cache.mu);
     auto it = cache.plans.find(n);
     if (it != cache.plans.end()) {
-      cells.fft_plan_hits.fetch_add(1, std::memory_order_relaxed);
+      hits.add();
       return it->second;
     }
   }
@@ -152,10 +155,10 @@ std::shared_ptr<const FftPlan> FftPlan::get(std::size_t n) {
   WriterLock lock(cache.mu);
   auto [it, inserted] = cache.plans.emplace(n, std::move(built));
   if (inserted) {
-    cells.fft_plan_misses.fetch_add(1, std::memory_order_relaxed);
+    misses.add();
   } else {
     // Another thread won the race; its plan is the cached one.
-    cells.fft_plan_hits.fetch_add(1, std::memory_order_relaxed);
+    hits.add();
   }
   return it->second;
 }

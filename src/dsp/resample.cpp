@@ -9,7 +9,7 @@
 #include "dassa/common/error.hpp"
 #include "dassa/common/sync.hpp"
 #include "dassa/common/trace.hpp"
-#include "dassa/dsp/stats.hpp"
+#include "dassa/common/counters.hpp"
 #include "dassa/dsp/window.hpp"
 
 namespace dassa::dsp {
@@ -38,12 +38,15 @@ std::shared_ptr<const std::vector<double>> cached_resample_filter(
     std::size_t up, std::size_t down) {
   FilterCache& cache = filter_cache();
   const FilterKey key{up, down};
-  auto& cells = detail::dsp_stat_cells();
+  static Counter& hits =
+      global_counters().counter(counters::kDspResampleDesignHits);
+  static Counter& misses =
+      global_counters().counter(counters::kDspResampleDesignMisses);
   {
     ReaderLock lock(cache.mu);
     auto it = cache.filters.find(key);
     if (it != cache.filters.end()) {
-      cells.resample_design_hits.fetch_add(1, std::memory_order_relaxed);
+      hits.add();
       return it->second;
     }
   }
@@ -52,9 +55,9 @@ std::shared_ptr<const std::vector<double>> cached_resample_filter(
   WriterLock lock(cache.mu);
   auto [it, inserted] = cache.filters.emplace(key, std::move(built));
   if (inserted) {
-    cells.resample_design_misses.fetch_add(1, std::memory_order_relaxed);
+    misses.add();
   } else {
-    cells.resample_design_hits.fetch_add(1, std::memory_order_relaxed);
+    hits.add();
   }
   return it->second;
 }

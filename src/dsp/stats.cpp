@@ -4,54 +4,15 @@
 
 namespace dassa::dsp {
 
-namespace detail {
-
-DspStatCells& dsp_stat_cells() {
-  static DspStatCells cells;
-  return cells;
-}
-
-}  // namespace detail
-
 DspStats dsp_stats() {
-  const auto& c = detail::dsp_stat_cells();
-  DspStats s;
-  s.fft_plan_hits = c.fft_plan_hits.load(std::memory_order_relaxed);
-  s.fft_plan_misses = c.fft_plan_misses.load(std::memory_order_relaxed);
-  s.fft_bytes_allocated =
-      c.fft_bytes_allocated.load(std::memory_order_relaxed);
-  s.butter_design_hits = c.butter_design_hits.load(std::memory_order_relaxed);
-  s.butter_design_misses =
-      c.butter_design_misses.load(std::memory_order_relaxed);
-  s.resample_design_hits =
-      c.resample_design_hits.load(std::memory_order_relaxed);
-  s.resample_design_misses =
-      c.resample_design_misses.load(std::memory_order_relaxed);
-  return s;
-}
-
-void reset_dsp_stats() {
-  auto& c = detail::dsp_stat_cells();
-  c.fft_plan_hits.store(0, std::memory_order_relaxed);
-  c.fft_plan_misses.store(0, std::memory_order_relaxed);
-  c.fft_bytes_allocated.store(0, std::memory_order_relaxed);
-  c.butter_design_hits.store(0, std::memory_order_relaxed);
-  c.butter_design_misses.store(0, std::memory_order_relaxed);
-  c.resample_design_hits.store(0, std::memory_order_relaxed);
-  c.resample_design_misses.store(0, std::memory_order_relaxed);
-}
-
-void publish_dsp_counters() {
-  const DspStats s = dsp_stats();
-  auto& reg = global_counters();
-  reg.high_water(counters::kDspFftPlanHits, s.fft_plan_hits);
-  reg.high_water(counters::kDspFftPlanMisses, s.fft_plan_misses);
-  reg.high_water(counters::kDspFftBytesAllocated, s.fft_bytes_allocated);
-  reg.high_water(counters::kDspButterDesignHits, s.butter_design_hits);
-  reg.high_water(counters::kDspButterDesignMisses, s.butter_design_misses);
-  reg.high_water(counters::kDspResampleDesignHits, s.resample_design_hits);
-  reg.high_water(counters::kDspResampleDesignMisses,
-                 s.resample_design_misses);
+  const CounterRegistry& c = global_counters();
+  return DspStats{c.get(counters::kDspFftPlanHits),
+                  c.get(counters::kDspFftPlanMisses),
+                  c.get(counters::kDspFftBytesAllocated),
+                  c.get(counters::kDspButterDesignHits),
+                  c.get(counters::kDspButterDesignMisses),
+                  c.get(counters::kDspResampleDesignHits),
+                  c.get(counters::kDspResampleDesignMisses)};
 }
 
 }  // namespace dassa::dsp

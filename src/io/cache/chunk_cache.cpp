@@ -2,7 +2,6 @@
 
 #include "dassa/common/counters.hpp"
 #include "dassa/common/error.hpp"
-#include "dassa/common/telemetry.hpp"
 
 namespace dassa::io {
 
@@ -25,11 +24,14 @@ ChunkData ChunkCache::get(const ChunkKey& key) {
   MutexLock lock(shard.mu);
   auto it = shard.index.find(key);
   if (it == shard.index.end()) {
-    global_counters().add(counters::kIoCacheMisses, 1);
+    static Counter& misses =
+        global_counters().counter(counters::kIoCacheMisses);
+    misses.add();
     return nullptr;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  global_counters().add(counters::kIoCacheHits, 1);
+  static Counter& hits = global_counters().counter(counters::kIoCacheHits);
+  hits.add();
   return it->second->data;
 }
 
@@ -58,11 +60,14 @@ void ChunkCache::put(const ChunkKey& key, ChunkData data) {
       shard.index[key] = shard.lru.begin();
       shard.bytes += nbytes;
       total_bytes_.fetch_add(nbytes, std::memory_order_relaxed);
-      global_counters().add(counters::kIoCacheInserts, 1);
+      static Counter& inserts =
+          global_counters().counter(counters::kIoCacheInserts);
+      inserts.add();
     }
     evict_to_fit(shard, slice);
   }
-  global_counters().high_water(counters::kIoCachePeakBytes, bytes());
+  static Counter& peak = global_counters().counter(counters::kIoCachePeakBytes);
+  peak.high_water(bytes());
 }
 
 void ChunkCache::evict_to_fit(Shard& shard, std::size_t slice) {
@@ -72,7 +77,9 @@ void ChunkCache::evict_to_fit(Shard& shard, std::size_t slice) {
     total_bytes_.fetch_sub(victim.bytes, std::memory_order_relaxed);
     shard.index.erase(victim.key);
     shard.lru.pop_back();
-    global_counters().add(counters::kIoCacheEvictions, 1);
+    static Counter& evictions =
+        global_counters().counter(counters::kIoCacheEvictions);
+    evictions.add();
   }
 }
 
@@ -125,10 +132,10 @@ std::size_t ChunkCache::entries() const {
 ChunkCache& ChunkCache::global() {
   static ChunkCache cache(kDefaultBudget);
   static const bool gauges_registered = [] {
-    telemetry::register_gauge("io.cache.bytes", [] {
+    global_metrics().register_gauge("io.cache.bytes", [] {
       return static_cast<double>(ChunkCache::global().bytes());
     });
-    telemetry::register_gauge("io.cache.entries", [] {
+    global_metrics().register_gauge("io.cache.entries", [] {
       return static_cast<double>(ChunkCache::global().entries());
     });
     return true;

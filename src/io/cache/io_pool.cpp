@@ -1,7 +1,7 @@
 #include <algorithm>
 #include <thread>
 
-#include "dassa/common/telemetry.hpp"
+#include "dassa/common/metrics.hpp"
 #include "dassa/common/thread_pool.hpp"
 #include "dassa/io/chunk_cache.hpp"
 
@@ -18,10 +18,10 @@ ThreadPool& io_pool() {
       }(),
       /*inherit_trace_rank=*/false);
   static const bool gauges_registered = [] {
-    telemetry::register_gauge("io.pool.queue_depth", [] {
+    global_metrics().register_gauge("io.pool.queue_depth", [] {
       return static_cast<double>(io_pool().queue_depth());
     });
-    telemetry::register_gauge("io.pool.threads", [] {
+    global_metrics().register_gauge("io.pool.threads", [] {
       return static_cast<double>(io_pool().size());
     });
     return true;

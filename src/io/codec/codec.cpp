@@ -143,8 +143,11 @@ std::vector<std::byte> encode_chain(const CodecSpec& spec,
     in = cur;
   }
   if (spec.chain.empty()) cur.assign(raw.begin(), raw.end());
-  global_counters().add(counters::kIoCodecEncodeCalls, 1);
-  global_counters().add(counters::kIoCodecEncodeNs, elapsed_ns(t0));
+  static Counter& calls =
+      global_counters().counter(counters::kIoCodecEncodeCalls);
+  static Counter& ns = global_counters().counter(counters::kIoCodecEncodeNs);
+  calls.add();
+  ns.add(elapsed_ns(t0));
   return cur;
 }
 
@@ -170,8 +173,11 @@ std::vector<std::byte> decode_chain(const CodecSpec& spec,
     throw FormatError("codec chain decoded " + std::to_string(cur.size()) +
                       " bytes, chunk index says " + std::to_string(raw_size));
   }
-  global_counters().add(counters::kIoCodecDecodeCalls, 1);
-  global_counters().add(counters::kIoCodecDecodeNs, elapsed_ns(t0));
+  static Counter& calls =
+      global_counters().counter(counters::kIoCodecDecodeCalls);
+  static Counter& ns = global_counters().counter(counters::kIoCodecDecodeNs);
+  calls.add();
+  ns.add(elapsed_ns(t0));
   return cur;
 }
 

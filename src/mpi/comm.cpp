@@ -75,8 +75,10 @@ void Comm::send_bytes(const std::byte* data, std::size_t n, int dest,
   stats_.p2p_sends += 1;
   stats_.bytes_sent += n;
   stats_.modeled_seconds += world_->cost_params().message_cost(n);
-  global_counters().add(counters::kMpiP2pMsgs);
-  global_counters().add(counters::kMpiP2pBytes, n);
+  static Counter& msgs = global_counters().counter(counters::kMpiP2pMsgs);
+  static Counter& bytes = global_counters().counter(counters::kMpiP2pBytes);
+  msgs.add();
+  bytes.add(n);
 }
 
 std::vector<std::byte> Comm::recv_bytes(int src, int tag) {

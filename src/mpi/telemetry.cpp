@@ -1,7 +1,5 @@
 #include "dassa/mpi/telemetry.hpp"
 
-#include <cstring>
-#include <span>
 #include <utility>
 
 #include "dassa/common/error.hpp"
@@ -16,91 +14,9 @@ double CounterAggregate::imbalance(int world_size) const {
   return static_cast<double>(max) / mean;
 }
 
-namespace {
-
-// Wire format (host byte order -- MiniMPI never leaves the process):
-//   u64 counter_count, then per counter: u64 name_len, name bytes,
-//   u64 value; u64 hist_count, then per hist: u64 name_len, name
-//   bytes, u64 count, u64 total_ns, 64 x u64 buckets.
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  const auto* p = reinterpret_cast<const std::byte*>(&v);
-  out.insert(out.end(), p, p + sizeof v);
-}
-
-void put_string(std::vector<std::byte>& out, const std::string& s) {
-  put_u64(out, s.size());
-  const auto* p = reinterpret_cast<const std::byte*>(s.data());
-  out.insert(out.end(), p, p + s.size());
-}
-
-struct Cursor {
-  const std::vector<std::byte>& buf;
-  std::size_t pos = 0;
-
-  std::uint64_t u64() {
-    DASSA_CHECK(pos + sizeof(std::uint64_t) <= buf.size(),
-                "truncated telemetry payload");
-    std::uint64_t v = 0;
-    std::memcpy(&v, buf.data() + pos, sizeof v);
-    pos += sizeof v;
-    return v;
-  }
-
-  std::string str() {
-    const std::uint64_t len = u64();
-    DASSA_CHECK(pos + len <= buf.size(), "truncated telemetry payload");
-    std::string s(reinterpret_cast<const char*>(buf.data() + pos),
-                  static_cast<std::size_t>(len));
-    pos += static_cast<std::size_t>(len);
-    return s;
-  }
-};
-
-std::vector<std::byte> serialize(const RankTelemetry& t) {
-  std::vector<std::byte> out;
-  put_u64(out, t.counters.size());
-  for (const auto& [name, value] : t.counters) {
-    put_string(out, name);
-    put_u64(out, value);
-  }
-  put_u64(out, t.hists.size());
-  for (const auto& [name, h] : t.hists) {
-    put_string(out, name);
-    put_u64(out, h.count);
-    put_u64(out, h.total_ns);
-    for (const std::uint64_t b : h.buckets) put_u64(out, b);
-  }
-  return out;
-}
-
-RankTelemetry deserialize(const std::vector<std::byte>& buf) {
-  Cursor c{buf};
-  RankTelemetry t;
-  const std::uint64_t n_counters = c.u64();
-  for (std::uint64_t i = 0; i < n_counters; ++i) {
-    std::string name = c.str();
-    const std::uint64_t value = c.u64();
-    t.counters.emplace(std::move(name), value);
-  }
-  const std::uint64_t n_hists = c.u64();
-  for (std::uint64_t i = 0; i < n_hists; ++i) {
-    std::string name = c.str();
-    HistogramSnapshot h;
-    h.count = c.u64();
-    h.total_ns = c.u64();
-    for (auto& b : h.buckets) b = c.u64();
-    t.hists.emplace(std::move(name), h);
-  }
-  DASSA_CHECK(c.pos == buf.size(), "trailing bytes in telemetry payload");
-  return t;
-}
-
-}  // namespace
-
 ClusterTelemetry reduce_telemetry(Comm& comm, const RankTelemetry& mine,
                                   int root) {
-  const std::vector<std::byte> payload = serialize(mine);
+  const std::vector<std::byte> payload = encode_snapshot(mine);
   std::vector<std::vector<std::byte>> gathered =
       comm.gatherv<std::byte>(payload, root);
 
@@ -112,7 +28,7 @@ ClusterTelemetry reduce_telemetry(Comm& comm, const RankTelemetry& mine,
               "telemetry gather returned wrong rank count");
   cluster.per_rank.reserve(gathered.size());
   for (const auto& raw : gathered) {
-    cluster.per_rank.push_back(deserialize(raw));
+    cluster.per_rank.push_back(decode_snapshot(raw));
   }
 
   // Union of counter names: a counter a rank never charged counts as

@@ -38,9 +38,11 @@ std::vector<BatchGroup> coalesce(const std::vector<Slab2D>& slabs,
       BatchGroup& g = groups.back();
       g.jobs.push_back(i);
       group_end = std::max(group_end, end);
-      g.span.row_off = std::min(g.span.row_off, s.row_off);
+      // Old row end first: moving row_off down before reading it would
+      // shrink the union and drop the group's own rows.
       const std::size_t row_end =
           std::max(g.span.row_off + g.span.row_cnt, s.row_off + s.row_cnt);
+      g.span.row_off = std::min(g.span.row_off, s.row_off);
       g.span.row_cnt = row_end - g.span.row_off;
       g.span.col_cnt = group_end - g.span.col_off;
     } else {

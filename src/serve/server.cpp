@@ -10,7 +10,6 @@
 #include "dassa/common/error.hpp"
 #include "dassa/common/log.hpp"
 #include "dassa/common/metrics.hpp"
-#include "dassa/common/telemetry.hpp"
 #include "dassa/common/trace.hpp"
 #include "dassa/das/search.hpp"
 #include "dassa/io/kv.hpp"
@@ -85,7 +84,7 @@ void Server::start() {
   // The admission-queue depth gauge rides in every telemetry sample
   // and every kStats snapshot; stop() re-points it at a constant so a
   // late stats poll can never call into a dead server.
-  telemetry::register_gauge("serve.queue.depth", [this] {
+  global_metrics().register_gauge("serve.queue.depth", [this] {
     return static_cast<double>(queue_.depth());
   });
   listener_ = std::make_unique<Listener>(cfg_.socket_path);
@@ -122,7 +121,7 @@ void Server::stop() {
     MutexLock lock(readers_mu_);
     clients_.clear();
   }
-  telemetry::register_gauge("serve.queue.depth", [] { return 0.0; });
+  global_metrics().register_gauge("serve.queue.depth", [] { return 0.0; });
   DASSA_SLOG(kInfo, "serve.stop").field("socket",
                                                        cfg_.socket_path)
       << "drained";
@@ -174,8 +173,7 @@ void Server::reader_loop(std::shared_ptr<ClientConn> client) {
         continue;
       }
       global_counters().add(counters::kStatsRequests);
-      const std::vector<std::byte> reply =
-          encode_stats(collect_process_stats());
+      const std::vector<std::byte> reply = encode_stats(snapshot_metrics());
       try {
         MutexLock lock(client->write_mu);
         client->conn.send_frame(reply);
@@ -184,7 +182,9 @@ void Server::reader_loop(std::shared_ptr<ClientConn> client) {
       }
       continue;
     }
-    global_counters().add(counters::kServeRequests);
+    static Counter& requests =
+        global_counters().counter(counters::kServeRequests);
+    requests.add();
 
     ReadRequest req;
     try {
@@ -310,10 +310,12 @@ void Server::dispatch_round(std::vector<Job> batch) {
                         return singles;
                       }();
   for (BatchGroup& g : groups) {
-    global_counters().add(counters::kServeBatchGroups);
-    if (g.jobs.size() >= 2) {
-      global_counters().add(counters::kServeBatchCoalesced, g.jobs.size());
-    }
+    static Counter& batch_groups =
+        global_counters().counter(counters::kServeBatchGroups);
+    static Counter& coalesced =
+        global_counters().counter(counters::kServeBatchCoalesced);
+    batch_groups.add();
+    if (g.jobs.size() >= 2) coalesced.add(g.jobs.size());
     GroupWork work;
     work.span = g.span;
     work.jobs.reserve(g.jobs.size());
@@ -332,7 +334,9 @@ void Server::worker_loop() {
         cfg_.request_tracing ? now_ns() : 0;
     try {
       span_data = vca_.read_slab(work->span);
-      global_counters().add(counters::kServeBatchUnionReads);
+      static Counter& union_reads =
+          global_counters().counter(counters::kServeBatchUnionReads);
+      union_reads.add();
     } catch (const Error& e) {
       for (const Job& j : work->jobs) {
         send_error(*j.conn, j.req.id, ErrorCode::kInternal, e.what());
@@ -414,7 +418,9 @@ void Server::send_response(ClientConn& client, const ReadResponse& resp) {
     global_counters().add(counters::kServeErrors);
     return;  // peer is gone; its reader thread will notice EOF
   }
-  global_counters().add(counters::kServeResponses);
+  static Counter& responses =
+      global_counters().counter(counters::kServeResponses);
+  responses.add();
 }
 
 void Server::send_error(ClientConn& client, std::uint64_t id, ErrorCode code,

@@ -101,8 +101,8 @@ void Connection::send_frame(std::span<const std::byte> payload) {
   const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
   write_full(fd_, &len, sizeof len);
   if (!payload.empty()) write_full(fd_, payload.data(), payload.size());
-  global_counters().add(counters::kServeBytesSent,
-                        sizeof len + payload.size());
+  static Counter& sent = global_counters().counter(counters::kServeBytesSent);
+  sent.add(sizeof len + payload.size());
 }
 
 std::optional<std::vector<std::byte>> Connection::recv_frame() {
@@ -116,7 +116,9 @@ std::optional<std::vector<std::byte>> Connection::recv_frame() {
   if (len != 0 && !read_full(fd_, payload.data(), len)) {
     throw IoError("socket closed mid-frame");
   }
-  global_counters().add(counters::kServeBytesReceived, sizeof len + len);
+  static Counter& received =
+      global_counters().counter(counters::kServeBytesReceived);
+  received.add(sizeof len + len);
   return payload;
 }
 

@@ -1,187 +1,43 @@
 #include "dassa/serve/stats.hpp"
 
-#include <bit>
+#include <span>
 #include <utility>
 
 #include "dassa/common/counters.hpp"
 #include "dassa/common/error.hpp"
 #include "dassa/common/log.hpp"
-#include "dassa/common/telemetry.hpp"
-#include "dassa/common/trace.hpp"
-#include "../io/serialize.hpp"
 
 namespace dassa::serve {
 
-namespace io_detail = dassa::io::detail;
-
-namespace {
-
-void check_fully_consumed(const io_detail::Decoder& dec,
-                          const std::vector<std::byte>& frame) {
-  if (dec.position() != frame.size()) {
-    throw FormatError("trailing bytes after stats message");
-  }
-}
-
-/// Section-entry count read with its ceiling enforced before any
-/// allocation sized from it.
-std::size_t checked_entry_count(io_detail::Decoder& dec) {
-  const std::uint32_t n = dec.u32();
-  if (n > kMaxStatsEntries) {
-    throw FormatError("stats section entry count exceeds ceiling");
-  }
-  return n;
-}
-
-/// Metric names arrive sorted (the encoder walks std::map); enforcing
-/// strict ascent rejects duplicates and forged orderings in one check.
-void checked_name(std::string& name, const std::string& prev) {
-  if (name.empty() || name.size() > kMaxStatsNameBytes) {
-    throw FormatError("stats metric name length out of bounds");
-  }
-  if (!prev.empty() && name <= prev) {
-    throw FormatError("stats metric names not strictly increasing");
-  }
-}
-
-}  // namespace
-
-StatsSnapshot collect_process_stats() {
-  StatsSnapshot s;
-  s.wall_ns = trace::detail::now_ns();
-  s.counters = global_counters().snapshot();
-  s.gauges = telemetry::read_gauges();
-  s.hists = global_metrics().snapshot();
-  reconcile_torn_histograms(s);
-  return s;
-}
-
-void reconcile_torn_histograms(StatsSnapshot& s) {
-  for (auto& [_, h] : s.hists) {
-    std::uint64_t sum = 0;
-    for (const std::uint64_t b : h.buckets) sum += b;
-    h.count = sum;
-  }
-}
-
 std::vector<std::byte> encode_stats_request() {
-  io_detail::Encoder enc;
-  enc.u8(static_cast<std::uint8_t>(MsgType::kStatsRequest));
-  return enc.bytes();
+  return {std::byte{static_cast<std::uint8_t>(MsgType::kStatsRequest)}};
 }
 
 void decode_stats_request(const std::vector<std::byte>& frame) {
   if (frame.empty()) throw FormatError("empty serve frame");
-  io_detail::Decoder dec(frame);
-  if (static_cast<MsgType>(dec.u8()) != MsgType::kStatsRequest) {
+  if (static_cast<MsgType>(frame[0]) != MsgType::kStatsRequest) {
     throw FormatError("unexpected serve message type (want stats request)");
   }
-  check_fully_consumed(dec, frame);
+  if (frame.size() != 1) {
+    throw FormatError("trailing bytes after stats message");
+  }
 }
 
 std::vector<std::byte> encode_stats(const StatsSnapshot& s) {
-  DASSA_CHECK(s.counters.size() <= kMaxStatsEntries &&
-                  s.gauges.size() <= kMaxStatsEntries &&
-                  s.hists.size() <= kMaxStatsEntries,
-              "stats snapshot exceeds the wire-format entry ceiling");
-  io_detail::Encoder enc;
-  enc.u8(static_cast<std::uint8_t>(MsgType::kStatsOk));
-  enc.u32(s.version);
-  enc.u64(s.wall_ns);
-  enc.u32(static_cast<std::uint32_t>(s.counters.size()));
-  for (const auto& [name, value] : s.counters) {
-    enc.str(name);
-    enc.u64(value);
-  }
-  enc.u32(static_cast<std::uint32_t>(s.gauges.size()));
-  for (const auto& [name, value] : s.gauges) {
-    enc.str(name);
-    enc.u64(std::bit_cast<std::uint64_t>(value));
-  }
-  enc.u32(static_cast<std::uint32_t>(s.hists.size()));
-  for (const auto& [name, h] : s.hists) {
-    enc.str(name);
-    enc.u64(h.count);
-    enc.u64(h.total_ns);
-    std::uint8_t nonzero = 0;
-    for (const std::uint64_t b : h.buckets) {
-      if (b != 0) ++nonzero;
-    }
-    enc.u8(nonzero);
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      if (h.buckets[i] == 0) continue;
-      enc.u8(static_cast<std::uint8_t>(i));
-      enc.u64(h.buckets[i]);
-    }
-  }
-  return enc.bytes();
+  std::vector<std::byte> frame = encode_snapshot(s);
+  frame.insert(frame.begin(),
+               std::byte{static_cast<std::uint8_t>(MsgType::kStatsOk)});
+  DASSA_CHECK(frame.size() <= kMaxFrameBytes,
+              "stats snapshot exceeds the serve frame limit");
+  return frame;
 }
 
 StatsSnapshot decode_stats(const std::vector<std::byte>& frame) {
   if (frame.empty()) throw FormatError("empty serve frame");
-  io_detail::Decoder dec(frame);
-  if (static_cast<MsgType>(dec.u8()) != MsgType::kStatsOk) {
+  if (static_cast<MsgType>(frame[0]) != MsgType::kStatsOk) {
     throw FormatError("unexpected serve message type (want stats snapshot)");
   }
-  StatsSnapshot s;
-  s.version = dec.u32();
-  if (s.version != kStatsVersion) {
-    throw FormatError("unsupported stats snapshot version");
-  }
-  s.wall_ns = dec.u64();
-
-  std::string prev;
-  for (std::size_t n = checked_entry_count(dec); n > 0; --n) {
-    std::string name = dec.str();
-    checked_name(name, prev);
-    prev = name;
-    s.counters.emplace(std::move(name), dec.u64());
-  }
-  prev.clear();
-  for (std::size_t n = checked_entry_count(dec); n > 0; --n) {
-    std::string name = dec.str();
-    checked_name(name, prev);
-    prev = name;
-    s.gauges.emplace(std::move(name), std::bit_cast<double>(dec.u64()));
-  }
-  prev.clear();
-  for (std::size_t n = checked_entry_count(dec); n > 0; --n) {
-    std::string name = dec.str();
-    checked_name(name, prev);
-    prev = name;
-    HistogramSnapshot h;
-    h.count = dec.u64();
-    h.total_ns = dec.u64();
-    const std::uint8_t nonzero = dec.u8();
-    if (nonzero > h.buckets.size()) {
-      throw FormatError("stats histogram bucket entry count out of range");
-    }
-    std::uint64_t sum = 0;
-    int prev_index = -1;
-    for (std::uint8_t i = 0; i < nonzero; ++i) {
-      const std::uint8_t index = dec.u8();
-      if (index >= h.buckets.size() ||
-          static_cast<int>(index) <= prev_index) {
-        throw FormatError("stats histogram bucket index out of order");
-      }
-      prev_index = static_cast<int>(index);
-      const std::uint64_t bucket = dec.u64();
-      if (bucket == 0 || bucket > h.count - sum) {
-        // A zero entry contradicts the sparse encoding; an oversized
-        // one would push the bucket sum past the declared count
-        // (subtraction form so the running sum cannot wrap).
-        throw FormatError("stats histogram buckets disagree with count");
-      }
-      sum += bucket;
-      h.buckets[index] = bucket;
-    }
-    if (sum != h.count) {
-      throw FormatError("stats histogram buckets disagree with count");
-    }
-    s.hists.emplace(std::move(name), h);
-  }
-  check_fully_consumed(dec, frame);
-  return s;
+  return decode_snapshot(std::span(frame).subspan(1));
 }
 
 StatsSnapshot fetch_stats(Connection& conn) {
@@ -262,7 +118,7 @@ void serve_stats_connection(Connection& client) {
     try {
       decode_stats_request(*frame);
       global_counters().add(counters::kStatsRequests);
-      reply = encode_stats(collect_process_stats());
+      reply = encode_stats(snapshot_metrics());
     } catch (const Error& e) {
       global_counters().add(counters::kStatsBadFrames);
       ReadResponse refusal;

@@ -110,17 +110,18 @@ TEST(TelemetrySampler, HistogramPercentilesFoldIntoGauges) {
 // ---- gauges and resources --------------------------------------------
 
 TEST(TelemetryGauges, BuiltinsAndRegistrationAndReplacement) {
-  const std::map<std::string, double> before = read_gauges();
+  MetricsRegistry& reg = global_metrics();
+  const std::map<std::string, double> before = reg.read_gauges();
   EXPECT_TRUE(before.count("trace.open_spans"));
   EXPECT_TRUE(before.count("trace.dropped_spans"));
   EXPECT_TRUE(before.count("log.records"));
 
-  register_gauge("telemetry_test.gauge", [] { return 41.0; });
-  register_gauge("telemetry_test.gauge", [] { return 42.0; });  // replaces
-  EXPECT_EQ(read_gauges().at("telemetry_test.gauge"), 42.0);
+  reg.register_gauge("telemetry_test.gauge", [] { return 41.0; });
+  reg.register_gauge("telemetry_test.gauge", [] { return 42.0; });  // replaces
+  EXPECT_EQ(reg.read_gauges().at("telemetry_test.gauge"), 42.0);
 
-  EXPECT_THROW(register_gauge("", [] { return 0.0; }), Error);
-  EXPECT_THROW(register_gauge("telemetry_test.null", GaugeFn{}), Error);
+  EXPECT_THROW(reg.register_gauge("", [] { return 0.0; }), Error);
+  EXPECT_THROW(reg.register_gauge("telemetry_test.null", GaugeFn{}), Error);
 }
 
 TEST(TelemetryResources, ReportsProcessUsage) {
@@ -136,14 +137,65 @@ TEST(TelemetryResources, ReportsProcessUsage) {
 
 TEST(TelemetryMetrics, QuantileInterpolatesWithinBucket) {
   LatencyHistogram h;
-  // 100 samples, all landing in bucket 4 ([16, 32) ns).
-  for (int i = 0; i < 100; ++i) h.record_ns(20);
+  // 100 samples spanning bucket 4 ([16, 32) ns): half at each end.
+  for (int i = 0; i < 50; ++i) h.record_ns(16);
+  for (int i = 0; i < 50; ++i) h.record_ns(31);
   const HistogramSnapshot s = h.snapshot();
   EXPECT_DOUBLE_EQ(s.quantile_ns(0.5), 24.0);   // 16 + 16 * 0.5
   EXPECT_DOUBLE_EQ(s.quantile_ns(0.25), 20.0);  // 16 + 16 * 0.25
-  EXPECT_DOUBLE_EQ(s.quantile_ns(1.0), 32.0);   // bucket upper bound
+  EXPECT_DOUBLE_EQ(s.quantile_ns(1.0), 31.0);   // clamped to the max seen
   EXPECT_EQ(HistogramSnapshot{}.quantile_ns(0.5), 0.0);
   EXPECT_THROW((void)s.quantile_ns(1.5), Error);
+}
+
+TEST(TelemetryMetrics, QuantilesAreBoundedByObservedRange) {
+  // One 2.19 s sample: pow2 interpolation alone would report ~3.2 s
+  // at p50 and ~4.3 s at p99; the observed range pins both to it.
+  LatencyHistogram h;
+  h.record_ns(2'190'000'000);
+  const HistogramSnapshot one = h.snapshot();
+  EXPECT_EQ(one.count, 1u);
+  EXPECT_DOUBLE_EQ(one.quantile_ns(0.50), 2.19e9);
+  EXPECT_DOUBLE_EQ(one.quantile_ns(0.99), 2.19e9);
+
+  // merge widens the range; diff keeps the newer snapshot's range.
+  h.record_ns(1000);
+  const HistogramSnapshot two = h.snapshot();
+  EXPECT_EQ(two.min_ns, 1000u);
+  EXPECT_EQ(two.max_ns, 2'190'000'000u);
+  const HistogramSnapshot delta = two.diff(one);
+  EXPECT_EQ(delta.count, 1u);
+  EXPECT_EQ(delta.min_ns, 1000u);
+  EXPECT_EQ(delta.max_ns, 2'190'000'000u);
+  EXPECT_EQ(two.diff(two), HistogramSnapshot{});
+  HistogramSnapshot merged;
+  merged.merge(one);
+  LatencyHistogram small;
+  small.record_ns(7);
+  merged.merge(small.snapshot());
+  EXPECT_EQ(merged.min_ns, 7u);
+  EXPECT_EQ(merged.max_ns, 2'190'000'000u);
+  EXPECT_EQ(merged.count, 2u);
+  EXPECT_EQ(merged.total_ns, 2'190'000'007u);
+  h.reset();
+  EXPECT_EQ(h.snapshot(), HistogramSnapshot{});
+}
+
+TEST(TelemetryMetrics, CountersAreRegistryCells) {
+  // A site holding its counter reference and a by-name add charge the
+  // same cell; reset() zeroes it in place and a zero reads as absent.
+  CounterRegistry reg;
+  Counter& held = reg.counter("io.test_cell");
+  held.add(3);
+  reg.add("io.test_cell", 2);
+  EXPECT_EQ(reg.get("io.test_cell"), 5u);
+  EXPECT_EQ(&reg.counter("io.test_cell"), &held);
+  reg.reset();
+  EXPECT_EQ(held.get(), 0u);
+  EXPECT_TRUE(reg.snapshot().empty());
+  held.add();
+  EXPECT_EQ(reg.snapshot().at("io.test_cell"), 1u);
+  EXPECT_THROW((void)reg.counter(""), Error);
 }
 
 TEST(TelemetryMetrics, SnapshotMergeIsExact) {

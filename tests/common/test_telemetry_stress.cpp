@@ -37,8 +37,9 @@ TEST(TelemetryStress, SamplerRacesCountersHistogramsAndGauges) {
         if (i % 64 == 0) {
           // Re-registering an existing gauge is the documented way for
           // re-created singletons to stay current; race it on purpose.
-          register_gauge("telemetry_stress.gauge" + std::to_string(t),
-                         [t] { return static_cast<double>(t); });
+          global_metrics().register_gauge(
+              "telemetry_stress.gauge" + std::to_string(t),
+              [t] { return static_cast<double>(t); });
         }
         if (i % 128 == 0) {
           // Cross-rank style merge racing live recording.

@@ -99,12 +99,17 @@ TEST_F(TraceTest, RingOverflowDropsNewestAndCounts) {
 }
 
 TEST_F(TraceTest, PublishTraceCountersReachesGlobalRegistry) {
+  // The tracer charges its registry counters as spans complete: a live
+  // snapshot carries them with no publish step in between.
+  CounterRegistry& reg = global_counters();
+  const std::uint64_t emitted = reg.get(counters::kTraceSpansEmitted);
   set_enabled(true);
-  emit_named_pair();
+  std::thread([] { emit_named_pair(); }).join();  // a new thread's ring
   set_enabled(false);
-  publish_trace_counters();
-  EXPECT_GE(global_counters().get(counters::kTraceSpansEmitted), 2u);
-  EXPECT_GE(global_counters().get(counters::kTraceThreads), 1u);
+  EXPECT_EQ(reg.get(counters::kTraceSpansEmitted), emitted + 2);
+  EXPECT_GE(reg.get(counters::kTraceThreads), 1u);
+  EXPECT_EQ(snapshot_metrics().counters.at(counters::kTraceSpansEmitted),
+            emitted + 2);
 }
 
 TEST_F(TraceTest, SpanDurationsFeedMetricsHistograms) {
@@ -231,6 +236,45 @@ TEST_F(TraceTest, SummaryListsEverySpanName) {
   const std::string text = os.str();
   EXPECT_NE(text.find("test.outer"), std::string::npos);
   EXPECT_NE(text.find("test.inner"), std::string::npos);
+}
+
+/// Whitespace-separated fields of `line`.
+std::vector<std::string> fields_of(const std::string& line) {
+  std::istringstream in(line);
+  std::vector<std::string> out;
+  for (std::string f; in >> f;) out.push_back(f);
+  return out;
+}
+
+TEST_F(TraceTest, SummaryColumnsStaySeparatedWhenWide) {
+  // A 45-character span name through the real summary, and an
+  // 8-digit count through its row writer: every column stays its own
+  // whitespace-separated field.
+  constexpr const char* kLong = "test.a_span_name_well_past_the_name_column.xx";
+  ASSERT_EQ(std::string_view(kLong).size(), 45u);
+  set_enabled(true);
+  { DASSA_TRACE_SPAN("test", "test.a_span_name_well_past_the_name_column.xx"); }
+  set_enabled(false);
+  std::ostringstream os;
+  write_summary(os, collect());
+  std::istringstream lines(os.str());
+  std::string line;
+  std::getline(lines, line);  // header
+  std::getline(lines, line);
+  std::vector<std::string> f = fields_of(line);
+  ASSERT_EQ(f.size(), 7u) << line;
+  EXPECT_EQ(f[0], kLong);
+  EXPECT_EQ(f[1], "test");
+  EXPECT_EQ(f[2], "1");
+
+  std::ostringstream row;
+  detail::write_summary_row(row, kLong, "pipeline", 12345678, 12345678.5,
+                            1.0, 2.0, 3.0);
+  f = fields_of(row.str());
+  ASSERT_EQ(f.size(), 7u) << row.str();
+  EXPECT_EQ(f[1], "pipeline");
+  EXPECT_EQ(f[2], "12345678");
+  EXPECT_EQ(f[3], "12345678.500");
 }
 
 // ---- five-layer coverage ---------------------------------------------

@@ -54,6 +54,49 @@ TEST(ServeBatcher, RowExtentsUnionAcrossMembers) {
   EXPECT_EQ(groups[0].span, slab(0, 0, 16, 25));
 }
 
+namespace {
+
+/// Every member of every group, sliced out of the group's union read,
+/// equals a direct read of the member from the same 24 x 32 array.
+void expect_members_match_direct_reads(const std::vector<Slab2D>& slabs) {
+  const Slab2D whole = slab(0, 0, 24, 32);
+  std::vector<double> full(whole.size());
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    full[i] = static_cast<double>(i) + 0.5;
+  }
+  for (const BatchGroup& g : coalesce(slabs, 0)) {
+    const std::vector<double> union_read =
+        slice_from_union(full, whole, g.span);
+    for (const std::size_t i : g.jobs) {
+      EXPECT_EQ(slice_from_union(union_read, g.span, slabs[i]),
+                slice_from_union(full, whole, slabs[i]))
+          << slabs[i].str() << " in " << g.span.str();
+    }
+  }
+}
+
+}  // namespace
+
+TEST(ServeBatcher, JoinerBelowGroupKeepsGroupRows) {
+  // Rows [10, 20) opens the group; rows [0, 5) joins it. The union
+  // must be rows [0, 20), not [0, 10) (which drops the first member).
+  const std::vector<Slab2D> slabs = {slab(10, 0, 10, 10), slab(0, 5, 5, 10)};
+  const std::vector<BatchGroup> groups = coalesce(slabs, 0);
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0].span, slab(0, 0, 20, 15));
+  expect_members_match_direct_reads(slabs);
+}
+
+TEST(ServeBatcher, JoinerStraddlingGroupStartKeepsGroupRows) {
+  // Mirror case: the joiner (rows [5, 15)) overlaps the group's first
+  // rows instead of lying wholly below them; the union is [5, 20).
+  const std::vector<Slab2D> slabs = {slab(10, 0, 10, 10), slab(5, 5, 10, 10)};
+  const std::vector<BatchGroup> groups = coalesce(slabs, 0);
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0].span, slab(5, 0, 15, 15));
+  expect_members_match_direct_reads(slabs);
+}
+
 TEST(ServeBatcher, SweepIsDeterministicAndOrderIndependent) {
   // The same slabs in any input order produce the same column spans.
   const std::vector<Slab2D> a = {slab(0, 50, 2, 10), slab(0, 0, 2, 10),

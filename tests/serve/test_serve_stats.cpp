@@ -15,8 +15,10 @@
 #include "dassa/common/counters.hpp"
 #include "dassa/common/error.hpp"
 #include "dassa/common/metrics.hpp"
+#include "dassa/common/trace.hpp"
 #include "dassa/das/search.hpp"
 #include "dassa/das/synth.hpp"
+#include "dassa/dsp/fft.hpp"
 #include "dassa/io/vca.hpp"
 #include "dassa/serve/client.hpp"
 #include "dassa/serve/server.hpp"
@@ -79,6 +81,8 @@ serve::StatsSnapshot sample_snapshot() {
   h.buckets[63] = 1;
   h.count = 8;
   h.total_ns = 90000;
+  h.min_ns = 1;
+  h.max_ns = std::uint64_t{1} << 63;
   s.hists["serve.request"] = h;
   s.hists["empty.hist"] = HistogramSnapshot{};
   return s;
@@ -201,38 +205,58 @@ TEST(ServeStats, ForgedFramesAreRejected) {
   const std::uint32_t huge = 1u << 31;
   std::memcpy(frame.data() + 13, &huge, 4);
   EXPECT_THROW(serve::decode_stats(frame), FormatError);
+  // A histogram range that is inverted, or set on an empty histogram.
+  sh.hists["h"].min_ns = 20;
+  sh.hists["h"].max_ns = 10;
+  EXPECT_THROW(serve::decode_stats(serve::encode_stats(sh)), FormatError);
+  sh.hists["h"] = HistogramSnapshot{};
+  sh.hists["h"].max_ns = 5;
+  EXPECT_THROW(serve::decode_stats(serve::encode_stats(sh)), FormatError);
 }
 
 TEST(ServeStats, TornSnapshotIsReconciledBeforeEncoding) {
-  // A live LatencyHistogram updates count_ and buckets_ as separate
-  // relaxed atomics, so a registry snapshot taken against concurrent
-  // record_ns() can legitimately disagree with itself in either
-  // direction. The encoding side must reconcile (count := bucket sum)
-  // so a daemon under load never emits a frame its own strict decoder
-  // would refuse.
-  serve::StatsSnapshot torn;
-  HistogramSnapshot ahead;  // count incremented, bucket not yet seen
-  ahead.buckets[5] = 3;
-  ahead.count = 4;
-  ahead.total_ns = 100;
-  torn.hists["count.ahead"] = ahead;
-  HistogramSnapshot behind;  // bucket incremented, count not yet seen
-  behind.buckets[2] = 7;
-  behind.count = 6;
-  behind.total_ns = 200;
-  torn.hists["count.behind"] = behind;
+  // A histogram's count is the sum of its buckets, and its range is
+  // published before its bucket, so a snapshot taken while other
+  // threads record_ns() can never disagree with itself: every one
+  // encodes to a frame the strict decoder accepts.
+  LatencyHistogram& h = global_metrics().histogram("serve.torn_test");
+  std::atomic<bool> done{false};
+  std::vector<std::thread> writers;
+  for (std::uint64_t t = 0; t < 3; ++t) {
+    writers.emplace_back([t, &h, &done] {
+      for (std::uint64_t i = 1; !done.load(std::memory_order_relaxed); ++i) {
+        h.record_ns((i * 7919 + t) % 100000);
+      }
+    });
+  }
+  // Poll until the writers have been recording for a while (bounded).
+  for (int i = 0; i < 100000 && (i < 500 || h.count() < 10000); ++i) {
+    const serve::StatsSnapshot s = snapshot_metrics();
+    EXPECT_EQ(serve::decode_stats(serve::encode_stats(s)), s);
+  }
+  done.store(true);
+  for (std::thread& w : writers) w.join();
+  EXPECT_GE(h.count(), 10000u);
+}
 
-  EXPECT_THROW(serve::decode_stats(serve::encode_stats(torn)), FormatError);
-  serve::reconcile_torn_histograms(torn);
-  const serve::StatsSnapshot back =
-      serve::decode_stats(serve::encode_stats(torn));
-  EXPECT_EQ(back.hists.at("count.ahead").count, 3u);
-  EXPECT_EQ(back.hists.at("count.behind").count, 7u);
-  // collect_process_stats applies the same reconciliation, so the live
-  // path always produces a decodable frame.
-  EXPECT_NO_THROW(
-      (void)serve::decode_stats(serve::encode_stats(
-          serve::collect_process_stats())));
+TEST(ServeStats, LiveStatsCarryDspAndTraceCounters) {
+  // Every counter is a registry cell charged where the event happens,
+  // so a live poll of a running server sees the DSP plan cache and the
+  // tracer without any publish step.
+  TmpDir dir("serve_stats_counters");
+  ServedArchive archive(dir);
+  serve::Server server(base_config(dir, archive));
+  server.start();
+  (void)dsp::rfft(std::vector<double>(1237, 1.0));
+  trace::set_enabled(true);
+  { DASSA_TRACE_SPAN("test", "test.live_counters"); }
+  trace::set_enabled(false);
+
+  serve::Connection poll = serve::connect_local(server.config().socket_path);
+  const serve::StatsSnapshot s = serve::fetch_stats(poll);
+  EXPECT_GT(counter_of(s, counters::kDspFftPlanMisses), 0u);
+  EXPECT_GT(counter_of(s, counters::kTraceSpansEmitted), 0u);
+  server.stop();
 }
 
 TEST(ServeStats, ListenerStartFailureLeavesDestructorSafe) {
@@ -256,7 +280,7 @@ TEST(ServeStats, ListenerReapsFinishedConnections) {
   constexpr std::size_t kPollers = 32;
   for (std::size_t i = 0; i < kPollers; ++i) {
     serve::Connection conn = serve::connect_local(listener.path());
-    EXPECT_EQ(serve::fetch_stats(conn).version, serve::kStatsVersion);
+    EXPECT_NO_THROW((void)serve::fetch_stats(conn));
   }
   EXPECT_LT(listener.tracked_connections(), kPollers / 2);
   listener.stop();
@@ -271,7 +295,6 @@ TEST(ServeStats, LiveServerAnswersStatsInline) {
 
   serve::Connection poll = serve::connect_local(server.config().socket_path);
   const serve::StatsSnapshot before = serve::fetch_stats(poll);
-  EXPECT_EQ(before.version, serve::kStatsVersion);
   EXPECT_TRUE(before.counters.contains(counters::kStatsRequests));
   // The admission-queue depth gauge is registered by the server, not
   // the tool, so every kStats client sees it.
@@ -403,7 +426,6 @@ TEST(ServeStats, StatsListenerServesAndRefuses) {
   const std::uint64_t base_bad =
       global_counters().get(counters::kStatsBadFrames);
   const serve::StatsSnapshot s = serve::fetch_stats(conn);
-  EXPECT_EQ(s.version, serve::kStatsVersion);
   EXPECT_TRUE(s.counters.contains(counters::kStatsRequests));
 
   // Garbage gets a typed kBadRequest refusal, and the connection stays

@@ -40,7 +40,6 @@
 #include "dassa/das/interferometry.hpp"
 #include "dassa/das/local_similarity.hpp"
 #include "dassa/das/search.hpp"
-#include "dassa/dsp/stats.hpp"
 
 namespace {
 
@@ -71,7 +70,6 @@ void log_counters(const char* event, const char* prefix1,
 void maybe_export_trace(const tools::Args& args) {
   if (!args.has("--trace")) return;
   const std::string path = args.get("--trace");
-  trace::publish_trace_counters();
   const std::vector<trace::TraceEvent> events = trace::collect();
   std::ofstream out(path);
   DASSA_CHECK(out.good(), "cannot open trace output file: " + path);
@@ -289,7 +287,6 @@ int main(int argc, char** argv) {
           .field("noisy", static_cast<std::uint64_t>(
                               qc.count(das::ChannelStatus::kNoisy)))
           .field("median_rms", qc.median_rms);
-      dsp::publish_dsp_counters();
       log_counters("analyze.dsp_counters", "dsp.", nullptr);
       log_counters("analyze.storage_counters", "io.codec.", "io.cache.");
       maybe_export_trace(args);
@@ -310,7 +307,6 @@ int main(int argc, char** argv) {
     DASSA_SLOG(kInfo, "analyze.done")
             .field("world_size", report.world_size)
         << stages.str();
-    dsp::publish_dsp_counters();
     log_counters("analyze.dsp_counters", "dsp.", nullptr);
     log_counters("analyze.storage_counters", "io.codec.", "io.cache.");
     const std::string out_path =

@@ -220,7 +220,7 @@ int main(int argc, char** argv) {
     const auto queue = std::make_shared<ingest::BoundedQueue<
         ingest::SpoolFile>>(
         static_cast<std::size_t>(args.get_long("--max-queue", 8)));
-    telemetry::register_gauge("ingest.queue.depth", [queue] {
+    global_metrics().register_gauge("ingest.queue.depth", [queue] {
       return static_cast<double>(queue->depth());
     });
 

@@ -264,10 +264,12 @@ def rule_counter_prefix(path, scrubbed, raw):
                                   f"counter '{m.group(1)}' {problem}")
         return
     for lineno, line in enumerate(raw_lines, start=1):
-        # Only calls on a counter registry count; pipeline stage names
-        # etc. also flow through methods called `add`.
-        m = re.search(r'counters\(\)\s*\.\s*(?:add|high_water|get)'
-                      r'\(\s*"([^"]+)"', line)
+        # Only calls on a counter registry count (pipeline stage names
+        # etc. also flow through methods called `add`): by-name charges
+        # on global_counters(), and the cell lookup `.counter("name")`
+        # that hot sites resolve once and hold.
+        m = re.search(r'(?:counters\(\)\s*\.\s*(?:add|high_water|get)'
+                      r'|(?:\.|->)\s*counter)\(\s*"([^"]+)"', line)
         if m:
             problem = counter_name_problem(m.group(1))
             if problem:
@@ -519,6 +521,14 @@ SELF_TEST_FIXTURES = [
     (rule_counter_prefix, "src/fix/neg.cpp",
      "void f() {\n  global_counters().add(\"io.codec.bytes\", 1);\n}\n",
      False),
+    (rule_counter_prefix, "src/fix/pos.cpp",
+     "void f() {\n  static Counter& c =\n"
+     "      global_counters().counter(\"bogus.subsystem.calls\");\n"
+     "  c.add();\n}\n", True),
+    (rule_counter_prefix, "src/fix/neg.cpp",
+     "void f() {\n  static Counter& c =\n"
+     "      global_counters().counter(\"io.codec.bytes\");\n"
+     "  c.add();\n}\n", False),
     (rule_counter_prefix, "src/fix/pos.cpp",
      "void f() {\n"
      "  global_metrics().histogram(\"rogue.lat.decode\").record_ns(1);\n"

@@ -17,11 +17,10 @@
 //           [--once]             one snapshot, print, exit
 //           [--prom]             Prometheus text exposition (with --once)
 //
-// das_health's zero-progress stall heuristic runs on the streamed
-// samples: an interval where no counter moved (excluding the sampler's
-// own telemetry.samples tick and the stats.* counters das_top itself
-// advances by polling) while spans were open or requests were queued
-// is flagged STALL on the spot, not post-mortem.
+// The stall rule das_health applies post-mortem (telemetry::stalled)
+// runs here on every polled interval, so a stall is flagged on the
+// spot.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <csignal>
@@ -35,6 +34,7 @@
 #include "arg_parse.hpp"
 #include "dassa/common/error.hpp"
 #include "dassa/common/log.hpp"
+#include "dassa/common/telemetry.hpp"
 #include "dassa/serve/server.hpp"
 #include "dassa/serve/stats.hpp"
 
@@ -150,7 +150,6 @@ void print_frame(const serve::StatsSnapshot& cur,
   const std::uint64_t misses = delta(cur, prev, "io.cache.misses");
   const double serve_q = gauge_of(cur, "serve.queue.depth", -1.0);
   const double ingest_q = gauge_of(cur, "ingest.queue.depth", -1.0);
-  const double open_spans = gauge_of(cur, "trace.open_spans", 0.0);
 
   std::snprintf(buf, sizeof buf, "  qps %.1f  queue depth %s%.0f",
                 dt_s > 0 ? static_cast<double>(responses) / dt_s : 0.0,
@@ -200,25 +199,12 @@ void print_frame(const serve::StatsSnapshot& cur,
     print_hist_row(name, d, dt_s);
   }
 
-  // Stall heuristic (das_health's zero-progress scan, live): no
-  // counter moved this interval -- excluding the telemetry sampler's
-  // own tick and the stats.* counters this poll advanced -- while work
-  // was nominally in flight.
-  std::uint64_t progress = 0;
-  for (const auto& [name, value] : cur.counters) {
-    if (name == "telemetry.samples") continue;
-    if (name.rfind("stats.", 0) == 0) continue;
-    const auto it = prev.counters.find(name);
-    const std::uint64_t before =
-        it == prev.counters.end() ? 0 : it->second;
-    progress += value >= before ? value - before : value;
-  }
-  const double queued = serve_q > 0 ? serve_q : ingest_q > 0 ? ingest_q : 0;
-  if (progress == 0 && (open_spans > 0 || queued > 0)) {
+  if (telemetry::stalled(prev, cur)) {
     std::snprintf(buf, sizeof buf,
                   "  STALL: no counter progress in %.2fs while %.0f "
                   "span(s) open, %.0f request(s) queued\n",
-                  dt_s, open_spans, queued);
+                  dt_s, gauge_of(cur, "trace.open_spans", 0.0),
+                  std::max(serve_q, 0.0) + std::max(ingest_q, 0.0));
     std::cout << buf;
   }
   std::cout.flush();
