@@ -62,9 +62,6 @@ BASELINE_NS = {
     "BM_Resample/30000": 2232023,
     "BM_XcorrFull/1024": 430132,
     "BM_XcorrFull/8192": 4262248,
-    "BM_Envelope/1024": 123785,
-    "BM_Envelope/8192": 1332395,
-    "BM_SpectralWhiten/4096": 631182,
 }
 
 # Acceptance gates (ISSUE: >= 1.5x on pow2 FFT, >= 2x on Bluestein).
@@ -74,7 +71,7 @@ THRESHOLDS = {
 }
 
 FILTER = ("BM_FftPow2|BM_FftBluestein|BM_RfftHalf|BM_Filtfilt|BM_Resample"
-          "|BM_XcorrFull|BM_Envelope|BM_SpectralWhiten")
+          "|BM_XcorrFull")
 
 
 def run_bench(bench_bin, min_time):

@@ -128,38 +128,6 @@ void BM_XcorrFull(benchmark::State& state) {
 }
 BENCHMARK(BM_XcorrFull)->Arg(1024)->Arg(8192);
 
-void BM_Envelope(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::vector<double> x = random_signal(n, 6);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dsp::envelope(x));
-  }
-}
-BENCHMARK(BM_Envelope)->Arg(1024)->Arg(8192);
-
-void BM_StaLta(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::vector<double> x = random_signal(n, 7);
-  dsp::StaLtaParams p;
-  p.sta = 50;
-  p.lta = 500;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dsp::sta_lta(x, p));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_StaLta)->Arg(30000);
-
-void BM_MedianFilter(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::vector<double> x = random_signal(n, 8);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dsp::median_filter(x, 5));
-  }
-}
-BENCHMARK(BM_MedianFilter)->Arg(3000);
-
 void BM_LocalSimilarityWindowPair(benchmark::State& state) {
   // The inner kernel of paper Algorithm 2: one window against (2L+1)
   // lagged windows on each of two neighbours.
@@ -179,15 +147,6 @@ void BM_LocalSimilarityWindowPair(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LocalSimilarityWindowPair);
-
-void BM_SpectralWhiten(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::vector<double> x = random_signal(n, 5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dsp::spectral_whiten(x, 9));
-  }
-}
-BENCHMARK(BM_SpectralWhiten)->Arg(4096);
 
 }  // namespace
 

@@ -91,8 +91,6 @@ inline constexpr const char* kTelemetryRowsProcessed =
     "telemetry.rows_processed";
 inline constexpr const char* kTelemetryCellsProcessed =
     "telemetry.cells_processed";
-inline constexpr const char* kTelemetryPipelineRows =
-    "telemetry.pipeline_rows";
 // Streaming ingest subsystem (src/ingest/): spool admission, live-VCA
 // growth, and sliding-window progress. Queue occupancy counters live
 // under ingest.queue.* (pushed == popped after a clean drain is the

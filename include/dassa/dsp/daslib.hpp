@@ -3,8 +3,9 @@
 // Paper Table II lists DasLib's public operations using MATLAB signal
 // toolbox naming (Das_abscorr, Das_detrend, Das_butter, Das_filtfilt,
 // Das_resample, Das_interp1, Das_fft, Das_ifft). This header provides
-// those exact entry points as thin aliases over the snake_case kernels,
-// so UDF code can be written to read like the paper's algorithms.
+// exactly those entry points (plus the band-pass form of Das_butter) as
+// thin aliases over the snake_case kernels, so UDF code can be written
+// to read like the paper's algorithms.
 // All functions are thread-safe and sequential, by DasLib's contract:
 // parallelism comes from the HAEE engine, never from inside a kernel.
 #pragma once
@@ -14,16 +15,8 @@
 #include "dassa/dsp/detrend.hpp"
 #include "dassa/dsp/fft.hpp"
 #include "dassa/dsp/filter.hpp"
-#include "dassa/dsp/hilbert.hpp"
 #include "dassa/dsp/interp.hpp"
-#include "dassa/dsp/median.hpp"
-#include "dassa/dsp/moving.hpp"
 #include "dassa/dsp/resample.hpp"
-#include "dassa/dsp/sta_lta.hpp"
-#include "dassa/dsp/welch.hpp"
-#include "dassa/dsp/stft.hpp"
-#include "dassa/dsp/whiten.hpp"
-#include "dassa/dsp/window.hpp"
 
 namespace dassa::daslib {
 
@@ -80,42 +73,6 @@ inline std::vector<cplx> Das_fft(std::span<const double> x) {
 /// Inverse FFT returning the real part (Das_ifft).
 inline std::vector<double> Das_ifft(std::span<const cplx> x) {
   return dsp::irfft_real(x);
-}
-
-/// Amplitude envelope via the Hilbert transform.
-inline std::vector<double> Das_envelope(std::span<const double> x) {
-  return dsp::envelope(x);
-}
-
-/// Power spectrogram (MATLAB spectrogram-style framing).
-inline dsp::Spectrogram Das_spectrogram(std::span<const double> x,
-                                        const dsp::StftParams& params) {
-  return dsp::spectrogram(x, params);
-}
-
-/// STA/LTA characteristic function (classical seismic trigger).
-inline std::vector<double> Das_stalta(std::span<const double> x,
-                                      const dsp::StaLtaParams& params) {
-  return dsp::sta_lta(x, params);
-}
-
-/// Moving-median despike (MAD-thresholded).
-inline std::vector<double> Das_despike(std::span<const double> x,
-                                       std::size_t half, double k_mad) {
-  return dsp::despike_mad(x, half, k_mad);
-}
-
-/// Welch power spectral density estimate.
-inline std::vector<double> Das_psd(std::span<const double> x, double fs,
-                                   const dsp::WelchParams& params) {
-  return dsp::welch_psd(x, fs, params);
-}
-
-/// Magnitude-squared coherence of two channels.
-inline std::vector<double> Das_coherence(std::span<const double> x,
-                                         std::span<const double> y,
-                                         const dsp::WelchParams& params) {
-  return dsp::coherence(x, y, params);
 }
 
 }  // namespace dassa::daslib

@@ -16,10 +16,4 @@ namespace dassa::dsp {
                                           std::span<const double> y0,
                                           std::span<const double> x);
 
-/// Fast path for uniformly spaced source samples: y0 sampled at
-/// t = 0, dt, 2 dt, ...; evaluated at arbitrary query times.
-[[nodiscard]] std::vector<double> interp1_uniform(std::span<const double> y0,
-                                                  double dt,
-                                                  std::span<const double> x);
-
 }  // namespace dassa::dsp

@@ -1,23 +1,10 @@
-// DasLib: median filtering -- robust despiking for DAS channels
-// (optical interrogators produce occasional spike artefacts that mean-
-// based pre-processing smears across the window).
+// DasLib: median of a buffer -- the robust statistic behind channel QC
+// and the event detector's noise floor.
 #pragma once
 
-#include <cstddef>
-#include <span>
 #include <vector>
 
 namespace dassa::dsp {
-
-/// Centered moving median with window 2*half+1, edges clamped.
-[[nodiscard]] std::vector<double> median_filter(std::span<const double> x,
-                                                std::size_t half);
-
-/// Replace samples deviating from the local median by more than
-/// `k_mad` times the local MAD (median absolute deviation) with the
-/// local median. Returns the despiked copy.
-[[nodiscard]] std::vector<double> despike_mad(std::span<const double> x,
-                                              std::size_t half, double k_mad);
 
 /// Median of a buffer (by copy; n log n).
 [[nodiscard]] double median(std::vector<double> values);

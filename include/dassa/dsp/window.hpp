@@ -1,19 +1,11 @@
-// DasLib: window/taper functions used by interferometry pre-processing
-// and spectral whitening (Hann, Hamming, Blackman, Tukey, Kaiser).
+// DasLib: the Kaiser window behind the resampler's anti-alias FIR
+// design.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 namespace dassa::dsp {
-
-[[nodiscard]] std::vector<double> hann_window(std::size_t n);
-[[nodiscard]] std::vector<double> hamming_window(std::size_t n);
-[[nodiscard]] std::vector<double> blackman_window(std::size_t n);
-
-/// Tukey (tapered cosine) window; `alpha` in [0, 1] is the fraction of
-/// the window inside the cosine taper (0 = rectangular, 1 = Hann).
-[[nodiscard]] std::vector<double> tukey_window(std::size_t n, double alpha);
 
 /// Kaiser window with shape parameter beta (used by the resampler's
 /// anti-alias FIR design).
@@ -22,8 +14,5 @@ namespace dassa::dsp {
 /// Zeroth-order modified Bessel function of the first kind (series
 /// expansion), needed by the Kaiser window.
 [[nodiscard]] double bessel_i0(double x);
-
-/// Multiply a signal by a window in place (sizes must match).
-void apply_window(std::vector<double>& x, const std::vector<double>& w);
 
 }  // namespace dassa::dsp

@@ -1,7 +1,6 @@
 #include "dassa/dsp/interp.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "dassa/common/error.hpp"
 
@@ -32,30 +31,6 @@ std::vector<double> interp1(std::span<const double> x0,
     const std::size_t lo = hi - 1;
     const double t = (q - x0[lo]) / (x0[hi] - x0[lo]);
     y[i] = y0[lo] + t * (y0[hi] - y0[lo]);
-  }
-  return y;
-}
-
-std::vector<double> interp1_uniform(std::span<const double> y0, double dt,
-                                    std::span<const double> x) {
-  DASSA_CHECK(y0.size() >= 2, "interp1 needs at least two source samples");
-  DASSA_CHECK(dt > 0.0, "interp1: dt must be positive");
-  std::vector<double> y(x.size());
-  const double t_max = static_cast<double>(y0.size() - 1) * dt;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double q = x[i];
-    if (q <= 0.0) {
-      y[i] = y0.front();
-      continue;
-    }
-    if (q >= t_max) {
-      y[i] = y0.back();
-      continue;
-    }
-    const double pos = q / dt;
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    const double t = pos - static_cast<double>(lo);
-    y[i] = y0[lo] + t * (y0[lo + 1] - y0[lo]);
   }
   return y;
 }

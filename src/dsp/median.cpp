@@ -1,7 +1,6 @@
 #include "dassa/dsp/median.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "dassa/common/error.hpp"
 
@@ -18,59 +17,6 @@ double median(std::vector<double> values) {
   const auto lo_it = std::max_element(
       values.begin(), values.begin() + static_cast<std::ptrdiff_t>(mid));
   return 0.5 * (hi + *lo_it);
-}
-
-namespace {
-
-/// Window [lo, hi) around index i with clamped edges.
-std::pair<std::size_t, std::size_t> window_around(std::size_t i,
-                                                  std::size_t half,
-                                                  std::size_t n) {
-  const std::size_t lo = (i >= half) ? i - half : 0;
-  const std::size_t hi = std::min(n, i + half + 1);
-  return {lo, hi};
-}
-
-}  // namespace
-
-std::vector<double> median_filter(std::span<const double> x,
-                                  std::size_t half) {
-  const std::size_t n = x.size();
-  std::vector<double> y(n);
-  std::vector<double> buf;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto [lo, hi] = window_around(i, half, n);
-    buf.assign(x.begin() + static_cast<std::ptrdiff_t>(lo),
-               x.begin() + static_cast<std::ptrdiff_t>(hi));
-    y[i] = median(std::move(buf));
-    buf.clear();
-  }
-  return y;
-}
-
-std::vector<double> despike_mad(std::span<const double> x, std::size_t half,
-                                double k_mad) {
-  DASSA_CHECK(k_mad > 0.0, "MAD multiplier must be positive");
-  const std::size_t n = x.size();
-  std::vector<double> y(x.begin(), x.end());
-  std::vector<double> buf;
-  std::vector<double> dev;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto [lo, hi] = window_around(i, half, n);
-    buf.assign(x.begin() + static_cast<std::ptrdiff_t>(lo),
-               x.begin() + static_cast<std::ptrdiff_t>(hi));
-    const double med = median(buf);
-    dev.resize(buf.size());
-    for (std::size_t j = 0; j < buf.size(); ++j) {
-      dev[j] = std::abs(buf[j] - med);
-    }
-    const double mad = median(dev);
-    // 1.4826 scales MAD to sigma for Gaussian data; guard tiny MADs so
-    // a flat window does not flag everything.
-    const double threshold = k_mad * std::max(1.4826 * mad, 1e-12);
-    if (std::abs(x[i] - med) > threshold) y[i] = med;
-  }
-  return y;
 }
 
 }  // namespace dassa::dsp

@@ -1,57 +1,14 @@
 #include "dassa/dsp/window.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <numbers>
 
 #include "dassa/common/error.hpp"
 
 namespace dassa::dsp {
 
-namespace {
-// Generalised cosine window: w[i] = a0 - a1 cos(2 pi i/(n-1))
-//                                  + a2 cos(4 pi i/(n-1)).
-std::vector<double> cosine_window(std::size_t n, double a0, double a1,
-                                  double a2) {
-  std::vector<double> w(n, 1.0);
-  if (n <= 1) return w;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = static_cast<double>(i) / static_cast<double>(n - 1);
-    w[i] = a0 - a1 * std::cos(2.0 * std::numbers::pi * t) +
-           a2 * std::cos(4.0 * std::numbers::pi * t);
-  }
-  return w;
-}
-}  // namespace
-
-std::vector<double> hann_window(std::size_t n) {
-  return cosine_window(n, 0.5, 0.5, 0.0);
-}
-
-std::vector<double> hamming_window(std::size_t n) {
-  return cosine_window(n, 0.54, 0.46, 0.0);
-}
-
-std::vector<double> blackman_window(std::size_t n) {
-  return cosine_window(n, 0.42, 0.5, 0.08);
-}
-
-std::vector<double> tukey_window(std::size_t n, double alpha) {
-  DASSA_CHECK(alpha >= 0.0 && alpha <= 1.0, "tukey alpha must be in [0,1]");
-  std::vector<double> w(n, 1.0);
-  if (n <= 1 || alpha == 0.0) return w;
-  const double taper = alpha * static_cast<double>(n - 1) / 2.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = static_cast<double>(i);
-    const double mirror = static_cast<double>(n - 1) - t;
-    const double edge = std::min(t, mirror);
-    if (edge < taper) {
-      w[i] = 0.5 * (1.0 + std::cos(std::numbers::pi * (edge / taper - 1.0)));
-    }
-  }
-  return w;
-}
-
 double bessel_i0(double x) {
+  DASSA_CHECK(std::isfinite(x), "bessel_i0 argument must be finite");
   // Power-series: I0(x) = sum ((x/2)^k / k!)^2; converges quickly for
   // the beta values used in FIR design (< ~20).
   const double half = x / 2.0;
@@ -67,6 +24,8 @@ double bessel_i0(double x) {
 }
 
 std::vector<double> kaiser_window(std::size_t n, double beta) {
+  DASSA_CHECK(std::isfinite(beta) && beta >= 0.0,
+              "kaiser beta must be finite and non-negative");
   std::vector<double> w(n, 1.0);
   if (n <= 1) return w;
   const double denom = bessel_i0(beta);
@@ -76,11 +35,6 @@ std::vector<double> kaiser_window(std::size_t n, double beta) {
     w[i] = bessel_i0(beta * std::sqrt(std::max(0.0, 1.0 - r * r))) / denom;
   }
   return w;
-}
-
-void apply_window(std::vector<double>& x, const std::vector<double>& w) {
-  DASSA_CHECK(x.size() == w.size(), "window length must match signal");
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] *= w[i];
 }
 
 }  // namespace dassa::dsp

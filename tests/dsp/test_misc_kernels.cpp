@@ -1,15 +1,11 @@
-// Tests for interp1, windows, whitening and moving statistics.
+// Tests for interp1, the Kaiser window and the median.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numbers>
-#include <random>
 
 #include "dassa/common/error.hpp"
-#include "dassa/dsp/fft.hpp"
 #include "dassa/dsp/interp.hpp"
-#include "dassa/dsp/moving.hpp"
-#include "dassa/dsp/whiten.hpp"
+#include "dassa/dsp/median.hpp"
 #include "dassa/dsp/window.hpp"
 
 namespace dassa::dsp {
@@ -56,184 +52,37 @@ TEST(Interp1Test, RejectsBadInput) {
                InvalidArgument);
 }
 
-TEST(Interp1Test, UniformVariantMatchesGeneral) {
-  const double dt = 0.25;
-  std::vector<double> y0(40);
-  std::vector<double> x0(40);
-  for (std::size_t i = 0; i < y0.size(); ++i) {
-    x0[i] = static_cast<double>(i) * dt;
-    y0[i] = std::sin(0.3 * static_cast<double>(i));
-  }
-  std::vector<double> q;
-  for (double t = -0.3; t < 10.5; t += 0.173) q.push_back(t);
-  const std::vector<double> a = interp1(x0, y0, q);
-  const std::vector<double> b = interp1_uniform(y0, dt, q);
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    EXPECT_NEAR(a[i], b[i], 1e-10) << "q=" << q[i];
-  }
-}
-
 // ---------- windows ------------------------------------------------------
-
-TEST(WindowTest, HannEndpointsAndPeak) {
-  const std::vector<double> w = hann_window(9);
-  EXPECT_NEAR(w.front(), 0.0, 1e-12);
-  EXPECT_NEAR(w.back(), 0.0, 1e-12);
-  EXPECT_NEAR(w[4], 1.0, 1e-12);  // centre of odd-length window
-}
 
 TEST(WindowTest, AllWindowsAreSymmetricAndBounded) {
   for (std::size_t n : {2u, 5u, 16u, 33u}) {
-    for (const auto& w :
-         {hann_window(n), hamming_window(n), blackman_window(n),
-          tukey_window(n, 0.5), kaiser_window(n, 6.0)}) {
-      ASSERT_EQ(w.size(), n);
-      for (std::size_t i = 0; i < n / 2; ++i) {
-        EXPECT_NEAR(w[i], w[n - 1 - i], 1e-12);
-      }
-      for (double v : w) {
-        EXPECT_GE(v, -1e-12);
-        EXPECT_LE(v, 1.0 + 1e-12);
-      }
+    const std::vector<double> w = kaiser_window(n, 6.0);
+    ASSERT_EQ(w.size(), n);
+    for (std::size_t i = 0; i < n / 2; ++i) {
+      EXPECT_NEAR(w[i], w[n - 1 - i], 1e-12);
+    }
+    for (double v : w) {
+      EXPECT_GE(v, -1e-12);
+      EXPECT_LE(v, 1.0 + 1e-12);
     }
   }
-}
-
-TEST(WindowTest, TukeyLimits) {
-  // alpha = 0 -> rectangular; alpha = 1 -> Hann.
-  const std::vector<double> rect = tukey_window(16, 0.0);
-  for (double v : rect) EXPECT_EQ(v, 1.0);
-  const std::vector<double> tk = tukey_window(17, 1.0);
-  const std::vector<double> hn = hann_window(17);
-  for (std::size_t i = 0; i < tk.size(); ++i) {
-    EXPECT_NEAR(tk[i], hn[i], 1e-9);
-  }
-  EXPECT_THROW((void)tukey_window(8, 1.5), InvalidArgument);
 }
 
 TEST(WindowTest, BesselI0KnownValues) {
   EXPECT_NEAR(bessel_i0(0.0), 1.0, 1e-14);
   EXPECT_NEAR(bessel_i0(1.0), 1.2660658777520084, 1e-12);
   EXPECT_NEAR(bessel_i0(5.0), 27.239871823604442, 1e-9);
+  EXPECT_THROW((void)bessel_i0(std::nan("")), InvalidArgument);
+  EXPECT_THROW((void)kaiser_window(8, -1.0), InvalidArgument);
 }
 
-TEST(WindowTest, ApplyWindowMultiplies) {
-  std::vector<double> x{2.0, 2.0, 2.0};
-  const std::vector<double> w{0.0, 0.5, 1.0};
-  apply_window(x, w);
-  EXPECT_EQ(x[0], 0.0);
-  EXPECT_EQ(x[1], 1.0);
-  EXPECT_EQ(x[2], 2.0);
-  std::vector<double> bad{1.0};
-  EXPECT_THROW(apply_window(bad, w), InvalidArgument);
-}
+// ---------- median -------------------------------------------------------
 
-// ---------- whitening ----------------------------------------------------
-
-TEST(WhitenTest, FlattensSpectrumOfDominantTone) {
-  // A strong tone plus weak noise: after whitening, the tone's bin must
-  // no longer dominate the amplitude spectrum.
-  const std::size_t n = 256;
-  std::mt19937_64 rng(8);
-  std::normal_distribution<double> dist;
-  std::vector<double> x(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = 50.0 * std::sin(2.0 * std::numbers::pi * 32.0 *
-                           static_cast<double>(i) / static_cast<double>(n)) +
-           0.5 * dist(rng);
-  }
-  auto ratio = [n](const std::vector<double>& sig) {
-    const std::vector<cplx> spec = rfft(sig);
-    double peak = 0.0;
-    double mean = 0.0;
-    for (std::size_t k = 1; k < n / 2; ++k) {
-      peak = std::max(peak, std::abs(spec[k]));
-      mean += std::abs(spec[k]);
-    }
-    return peak / (mean / static_cast<double>(n / 2 - 1));
-  };
-  const double before = ratio(x);
-  const double after = ratio(spectral_whiten(x, 9));
-  EXPECT_GT(before, 20.0);
-  EXPECT_LT(after, before / 4.0);
-}
-
-TEST(WhitenTest, HandlesZeroSignal) {
-  const std::vector<double> x(64, 0.0);
-  const std::vector<double> y = spectral_whiten(x, 5);
-  for (double v : y) EXPECT_NEAR(v, 0.0, 1e-12);
-}
-
-TEST(OneBitTest, SignsOnly) {
-  const std::vector<double> x{3.0, -0.5, 0.0, 1e-9};
-  const std::vector<double> y = one_bit(x);
-  EXPECT_EQ(y[0], 1.0);
-  EXPECT_EQ(y[1], -1.0);
-  EXPECT_EQ(y[2], 0.0);
-  EXPECT_EQ(y[3], 1.0);
-}
-
-TEST(RamNormalizeTest, UnitAmplitudeOutput) {
-  std::vector<double> x(200);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = (i < 100 ? 1.0 : 10.0) * std::sin(0.7 * static_cast<double>(i));
-  }
-  const std::vector<double> y = ram_normalize(x, 10);
-  // Both the quiet and loud halves must end up with comparable levels.
-  double rms_a = 0.0;
-  double rms_b = 0.0;
-  for (std::size_t i = 20; i < 80; ++i) rms_a += y[i] * y[i];
-  for (std::size_t i = 120; i < 180; ++i) rms_b += y[i] * y[i];
-  EXPECT_NEAR(rms_a / rms_b, 1.0, 0.5);
-}
-
-// ---------- moving statistics --------------------------------------------
-
-TEST(MovingTest, MeanOfConstantIsConstant) {
-  const std::vector<double> x(20, 4.0);
-  for (double v : moving_mean(x, 3)) EXPECT_NEAR(v, 4.0, 1e-12);
-  for (double v : moving_rms(x, 3)) EXPECT_NEAR(v, 4.0, 1e-12);
-}
-
-TEST(MovingTest, MeanMatchesNaive) {
-  std::mt19937_64 rng(14);
-  std::normal_distribution<double> dist;
-  std::vector<double> x(57);
-  for (auto& v : x) v = dist(rng);
-  const std::size_t half = 4;
-  const std::vector<double> y = moving_mean(x, half);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const std::size_t lo = (i >= half) ? i - half : 0;
-    const std::size_t hi = std::min(x.size(), i + half + 1);
-    double expect = 0.0;
-    for (std::size_t j = lo; j < hi; ++j) expect += x[j];
-    expect /= static_cast<double>(hi - lo);
-    EXPECT_NEAR(y[i], expect, 1e-10) << "i=" << i;
-  }
-}
-
-TEST(MovingTest, AbsmaxMatchesNaive) {
-  std::mt19937_64 rng(15);
-  std::normal_distribution<double> dist;
-  std::vector<double> x(64);
-  for (auto& v : x) v = dist(rng);
-  const std::size_t half = 5;
-  const std::vector<double> y = moving_absmax(x, half);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const std::size_t lo = (i >= half) ? i - half : 0;
-    const std::size_t hi = std::min(x.size() - 1, i + half);
-    double expect = 0.0;
-    for (std::size_t j = lo; j <= hi; ++j) {
-      expect = std::max(expect, std::abs(x[j]));
-    }
-    EXPECT_NEAR(y[i], expect, 1e-12) << "i=" << i;
-  }
-}
-
-TEST(MovingTest, EmptyInput) {
-  const std::vector<double> x;
-  EXPECT_TRUE(moving_mean(x, 2).empty());
-  EXPECT_TRUE(moving_absmax(x, 2).empty());
+TEST(MedianTest, KnownValues) {
+  EXPECT_EQ(median({3.0}), 3.0);
+  EXPECT_EQ(median({3.0, 1.0, 2.0}), 2.0);
+  EXPECT_EQ(median({4.0, 1.0, 3.0, 2.0}), 2.5);
+  EXPECT_THROW((void)median({}), InvalidArgument);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <random>
 
-#include "dassa/core/autotune.hpp"
 #include "dassa/das/interferometry.hpp"
 #include "dassa/das/local_similarity.hpp"
 #include "dassa/das/search.hpp"
@@ -176,30 +175,6 @@ TEST_F(EndToEndTest, EventsDetectedThroughTheFullStack) {
   mean /= static_cast<double>(n);
   EXPECT_LT(mean, 0.6);   // noise does not look like an event
   EXPECT_LE(peak, 1.0 + 1e-12);
-}
-
-TEST_F(EndToEndTest, AutotunerConsumesRealCalibration) {
-  io::Vca vca = io::Vca::build(*paths_);
-  das::InterferometryParams p;
-  p.sampling_hz = 40.0;
-  p.band_lo_hz = 1.0;
-  p.band_hi_hz = 15.0;
-
-  const std::vector<double> master =
-      vca.read_slab(Slab2D{0, 0, 1, vca.shape().cols});
-  const core::RowUdf udf = das::make_interferometry_udf(
-      p, das::interferometry_spectrum(master, p));
-  const double sec = core::calibrate_row_udf(vca, udf, 3);
-  EXPECT_GT(sec, 0.0);
-
-  core::ClusterSpec cluster;
-  cluster.max_nodes = 64;
-  cluster.cores_per_node = 4;
-  const core::TuneResult result =
-      core::autotune_nodes(cluster, core::workload_for_rows(vca, sec));
-  EXPECT_GE(result.best_nodes, 1);
-  EXPECT_LE(result.best_nodes, 64);
-  EXPECT_FALSE(result.sweep.empty());
 }
 
 }  // namespace

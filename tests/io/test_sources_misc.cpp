@@ -1,13 +1,12 @@
 // Remaining public-API coverage: Dash5Source adapter, Array2D helpers,
-// cost-model arithmetic, workload extraction.
+// cost-model arithmetic.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
-#include "dassa/core/autotune.hpp"
+#include "dassa/core/array.hpp"
 #include "dassa/io/dash5_source.hpp"
 #include "dassa/io/par_read.hpp"
-#include "dassa/io/vca.hpp"
 #include "dassa/mpi/runtime.hpp"
 #include "testing/tmpdir.hpp"
 
@@ -65,24 +64,6 @@ TEST(CostModelTest, MessageCostArithmetic) {
   // Shared-file seek contention adds per concurrent reader.
   EXPECT_GT(io.shared_call_cost(1024, 10), io.shared_call_cost(1024, 2));
   EXPECT_DOUBLE_EQ(io.shared_call_cost(1024, 1), io.call_cost(1024, 1));
-}
-
-TEST(WorkloadForRowsTest, ExtractsVcaGeometry) {
-  TmpDir dir("wl");
-  io::Dash5Header h;
-  h.shape = {6, 10};
-  for (int f = 0; f < 3; ++f) {
-    io::dash5_write(dir.file("f" + std::to_string(f) + ".dh5"), h,
-                    std::vector<double>(60, 0.0));
-  }
-  const io::Vca vca = io::Vca::build(
-      {dir.file("f0.dh5"), dir.file("f1.dh5"), dir.file("f2.dh5")});
-  const core::WorkloadSpec w = core::workload_for_rows(vca, 0.25);
-  EXPECT_EQ(w.data_shape, (Shape2D{6, 30}));
-  EXPECT_EQ(w.file_count, 3u);
-  EXPECT_EQ(w.file_bytes, 60u * sizeof(double));
-  EXPECT_EQ(w.work_units, 6u);
-  EXPECT_DOUBLE_EQ(w.seconds_per_unit, 0.25);
 }
 
 TEST(CommStatsTest, ChargeModeledSecondsAccumulates) {
