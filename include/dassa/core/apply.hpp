@@ -9,11 +9,17 @@
 //                           single-rank (node-local) execution where no
 //                           MiniMPI rank threads compete for the OpenMP
 //                           runtime.
+// Each cell backend also takes a CellRowUdf, the row form of a cell
+// UDF: it is invoked once per owned channel and fills that channel's
+// cells in one pass, so a kernel can carry work from one cell to the
+// next (local similarity's sliding sums). The output and the
+// telemetry.cells_processed charge are the same as for a ScalarUdf.
 // Row-granularity variants run a UDF once per channel instead of once
 // per cell (Algorithm 3 operates per channel).
 #pragma once
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "dassa/common/shape.hpp"
@@ -26,6 +32,12 @@ namespace dassa::core {
 /// UDF evaluated on each cell; must be thread-safe (it is invoked
 /// concurrently from ApplyMT threads).
 using ScalarUdf = std::function<double(const Stencil&)>;
+
+/// Row form of a cell UDF: given a stencil on column 0 of one owned
+/// channel, writes that channel's block_shape.cols output cells into
+/// `out`. Must be thread-safe (rows run concurrently).
+using CellRowUdf =
+    std::function<void(const Stencil& row, std::span<double> out)>;
 
 /// UDF evaluated once per channel; returns that channel's output time
 /// series. All rows must return the same length.
@@ -64,6 +76,19 @@ struct LocalBlock {
 /// the OpenMP default.
 [[nodiscard]] Array2D apply_cells_omp(const LocalBlock& block,
                                       const ScalarUdf& udf, int threads);
+
+/// Row-form cell Apply, sequential.
+[[nodiscard]] Array2D apply_cells_serial(const LocalBlock& block,
+                                         const CellRowUdf& udf);
+
+/// Row-form cell Apply on an explicit thread pool: the owned rows are
+/// split statically across pool threads; each row is written in place.
+[[nodiscard]] Array2D apply_cells_mt(const LocalBlock& block,
+                                     const CellRowUdf& udf, ThreadPool& pool);
+
+/// Row-form cell Apply via OpenMP (single-rank execution).
+[[nodiscard]] Array2D apply_cells_omp(const LocalBlock& block,
+                                      const CellRowUdf& udf, int threads);
 
 /// Ablation variant of apply_cells_mt: threads write straight into the
 /// pre-sized output instead of staging per-thread vectors (benched in

@@ -88,6 +88,7 @@ struct RankContext {
 /// Factory invoked once per rank after the read+halo phase; returns the
 /// UDF that ApplyMT then runs (must be thread-safe).
 using ScalarUdfFactory = std::function<ScalarUdf(const RankContext&)>;
+using CellRowUdfFactory = std::function<CellRowUdf(const RankContext&)>;
 using RowUdfFactory = std::function<RowUdf(const RankContext&)>;
 
 /// What a distributed run produced.
@@ -110,6 +111,12 @@ struct EngineReport {
 [[nodiscard]] EngineReport run_cells(const EngineConfig& config,
                                      const io::Vca& vca,
                                      const ScalarUdfFactory& factory);
+
+/// Run a cell-granularity UDF given in row form: same output and cell
+/// accounting as the ScalarUdf overload, one UDF call per owned row.
+[[nodiscard]] EngineReport run_cells(const EngineConfig& config,
+                                     const io::Vca& vca,
+                                     const CellRowUdfFactory& factory);
 
 /// Run a channel-granularity UDF (e.g. interferometry) distributed.
 /// `extra_bytes_per_rank`, if provided, is the size of rank-duplicated

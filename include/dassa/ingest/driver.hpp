@@ -112,8 +112,12 @@ class IngestDriver {
 };
 
 /// The margin (one-sided column dependency span) of the similarity
-/// UDF: window_half + lag_half. Emit regions stay this far from
-/// interior window edges so streamed output matches offline output.
+/// kernel: window_half + lag_half + kSimilarityAnchor - 1. A cell reads
+/// data within window_half + lag_half of it, and its running sums start
+/// at the anchor column at most B - 1 columns to its left; a cell this
+/// far inside a window therefore has its anchor inside the window too,
+/// and its value matches the offline run bit for bit. Emit regions stay
+/// this far from interior window edges.
 [[nodiscard]] std::size_t udf_margin_cols(
     const das::LocalSimilarityParams& p);
 

@@ -9,8 +9,9 @@
 // byte-identical to an offline run over the whole stream:
 //
 //   * a cell's UDF value depends on data within +-margin_cols of it
-//     (local similarity: window_half + lag_half), and the UDF returns
-//     exactly 0 for cells whose span crosses the array edge;
+//     (local similarity: window_half + lag_half + kSimilarityAnchor - 1,
+//     see udf_margin_cols), and the UDF returns exactly 0 for cells
+//     whose span crosses the array edge;
 //   * a window therefore reproduces the offline value for every cell at
 //     least margin_cols from both window edges -- and for cells nearer
 //     a window edge that coincides with the *stream* edge, where the

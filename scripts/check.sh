@@ -166,13 +166,15 @@ leg_tsan() {
   # layer, the span tracer (concurrent emission vs collection), the
   # telemetry sampler (background thread vs counter/histogram/gauge
   # writers), the ingest admission queue (blocking producers vs the
-  # draining consumer), and the query server (concurrent clients vs the
-  # coalescing dispatcher, worker pool, mid-request shutdown drain).
+  # draining consumer), the query server (concurrent clients vs the
+  # coalescing dispatcher, worker pool, mid-request shutdown drain), and
+  # the Algorithm 2 row kernel (per-thread scratch on pool and OpenMP
+  # threads).
   step "tsan: ThreadSanitizer, concurrency suite"
   cmake --preset tsan
   cmake --build --preset tsan -j "${JOBS}"
   ctest --preset tsan -j "${JOBS}" \
-    -R 'ThreadPool|Fft|MiniMpi|HaeeStress|HaeeMode|Apply|Codec|ChunkCache|Dash5V3|Trace|Telemetry|Repack|Simd|Ingest|Serve|Stats|MetricsDiff'
+    -R 'ThreadPool|Fft|MiniMpi|HaeeStress|HaeeMode|Apply|Codec|ChunkCache|Dash5V3|Trace|Telemetry|Repack|Simd|Ingest|Serve|Stats|MetricsDiff|LocalSimilarity|SimilarityOracle'
 }
 
 leg_telemetry() {

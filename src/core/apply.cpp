@@ -51,6 +51,18 @@ Stencil row_stencil(const LocalBlock& block, std::size_t owned_row) {
                  block.owned_local.begin + owned_row, 0, block.global_shape);
 }
 
+/// Run a row-form cell UDF on owned rows [begin, end) of `out`. A
+/// block with no columns has no cells (and no column-0 stencil).
+void cell_rows(const LocalBlock& block, const CellRowUdf& udf, Array2D& out,
+               std::size_t begin, std::size_t end) {
+  const std::size_t cols = block.block_shape.cols;
+  if (cols == 0) return;
+  for (std::size_t r = begin; r < end; ++r) {
+    udf(row_stencil(block, r),
+        std::span<double>(out.data.data() + r * cols, cols));
+  }
+}
+
 // Telemetry progress hooks: one registry add per apply call (or per
 // pool chunk), so the sampler can tell a busy pipeline from a stalled
 // one without taxing the per-cell hot loop.
@@ -101,6 +113,43 @@ Array2D apply_cells_mt(const LocalBlock& block, const ScalarUdf& udf,
                 rp.size() * sizeof(double));  // R[p[h-1] : p[h]] = Rp
     charge_cells(end - begin);
   });
+  return out;
+}
+
+Array2D apply_cells_serial(const LocalBlock& block, const CellRowUdf& udf) {
+  validate(block);
+  Array2D out(Shape2D{block.owned_rows(), block.block_shape.cols});
+  cell_rows(block, udf, out, 0, block.owned_rows());
+  charge_cells(owned_cell_count(block));
+  return out;
+}
+
+Array2D apply_cells_mt(const LocalBlock& block, const CellRowUdf& udf,
+                       ThreadPool& pool) {
+  validate(block);
+  Array2D out(Shape2D{block.owned_rows(), block.block_shape.cols});
+  pool.parallel_for(block.owned_rows(), [&](std::size_t /*thread*/,
+                                            std::size_t begin,
+                                            std::size_t end) {
+    DASSA_TRACE_SPAN("haee", "haee.apply_cells_chunk");
+    cell_rows(block, udf, out, begin, end);
+    charge_cells((end - begin) * block.block_shape.cols);
+  });
+  return out;
+}
+
+Array2D apply_cells_omp(const LocalBlock& block, const CellRowUdf& udf,
+                        int threads) {
+  validate(block);
+  const int team = threads > 0 ? threads : omp_get_max_threads();
+  Array2D out(Shape2D{block.owned_rows(), block.block_shape.cols});
+#pragma omp parallel for schedule(static) num_threads(team)
+  for (std::ptrdiff_t r = 0;
+       r < static_cast<std::ptrdiff_t>(block.owned_rows()); ++r) {
+    const auto row = static_cast<std::size_t>(r);
+    cell_rows(block, udf, out, row, row + 1);
+  }
+  charge_cells(owned_cell_count(block));
   return out;
 }
 

@@ -297,6 +297,21 @@ EngineReport run_cells(const EngineConfig& config, const io::Vca& vca,
       0);
 }
 
+EngineReport run_cells(const EngineConfig& config, const io::Vca& vca,
+                       const CellRowUdfFactory& factory) {
+  return run_engine(
+      config, vca,
+      [&](RankContext& ctx) -> Array2D {
+        const CellRowUdf udf = factory(ctx);
+        if (ctx.threads > 1) {
+          ThreadPool pool(static_cast<std::size_t>(ctx.threads));
+          return apply_cells_mt(ctx.block, udf, pool);
+        }
+        return apply_cells_serial(ctx.block, udf);
+      },
+      0);
+}
+
 EngineReport run_rows(const EngineConfig& config, const io::Vca& vca,
                       const RowUdfFactory& factory,
                       std::size_t extra_bytes_per_rank) {

@@ -13,10 +13,13 @@
 namespace dassa::ingest {
 
 std::size_t udf_margin_cols(const das::LocalSimilarityParams& p) {
-  DASSA_CHECK(p.window_half <= std::numeric_limits<std::size_t>::max() -
-                                   p.lag_half,
+  constexpr std::size_t kAnchorReach = das::kSimilarityAnchor - 1;
+  DASSA_CHECK(p.lag_half <= std::numeric_limits<std::size_t>::max() -
+                                kAnchorReach &&
+                  p.window_half <= std::numeric_limits<std::size_t>::max() -
+                                       kAnchorReach - p.lag_half,
               "similarity window + lag overflows");
-  return p.window_half + p.lag_half;
+  return p.window_half + p.lag_half + kAnchorReach;
 }
 
 IngestDriver::IngestDriver(IngestConfig cfg)
@@ -83,7 +86,8 @@ void IngestDriver::process_window(const WindowSpec& w) {
           static_cast<std::ptrdiff_t>(w.first_file + w.file_count));
   const io::Vca sub = io::Vca::build(files);
   core::EngineReport report =
-      das::local_similarity_distributed(cfg_.engine, sub, cfg_.similarity);
+      das::local_similarity_distributed(cfg_.engine, sub, cfg_.similarity,
+                                        w.start_col);
 
   const std::size_t rows = report.output.shape.rows;
   const std::size_t lo = w.emit_lo - w.start_col;  // window-local

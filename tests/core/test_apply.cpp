@@ -8,6 +8,9 @@
 #include <cmath>
 #include <random>
 
+#include "dassa/common/counters.hpp"
+#include "dassa/common/metrics.hpp"
+
 namespace dassa::core {
 namespace {
 
@@ -57,6 +60,50 @@ TEST_P(ApplyBackendTest, AllBackendsMatchSerial) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, ApplyBackendTest,
                          ::testing::Values(1, 2, 3, 8));
+
+/// moving_avg_udf in row form: one pass over the channel, same
+/// arithmetic per cell.
+void moving_avg_row(const Stencil& s, std::span<double> out) {
+  const std::span<const double> x = s.row_span(0);
+  const std::size_t n = x.size();
+  for (std::size_t c = 0; c < n; ++c) {
+    const double left = c > 0 ? x[c - 1] : x[c];
+    const double right = c + 1 < n ? x[c + 1] : x[c];
+    out[c] = (left + x[c] + right) / 3.0;
+  }
+}
+
+std::uint64_t cells_processed() {
+  return global_counters()
+      .counter(counters::kTelemetryCellsProcessed)
+      .get();
+}
+
+TEST_P(ApplyBackendTest, RowFormMatchesScalarAndChargesOwnedCells) {
+  const int threads = GetParam();
+  // 5 owned rows between one ghost row on each side.
+  const Array2D a = random_array({7, 29}, 11);
+  LocalBlock block;
+  block.data = a.data;
+  block.block_shape = a.shape;
+  block.global_row0 = 4;
+  block.owned_local = Range{1, 6};
+  block.global_shape = {40, 29};
+  const Array2D ref = apply_cells_serial(block, moving_avg_udf);
+  const std::uint64_t owned = 5 * 29;
+
+  ThreadPool pool(static_cast<std::size_t>(threads));
+  const CellRowUdf row_udf = moving_avg_row;
+  std::uint64_t before = cells_processed();
+  EXPECT_EQ(apply_cells_serial(block, row_udf), ref);
+  EXPECT_EQ(cells_processed() - before, owned);
+  before = cells_processed();
+  EXPECT_EQ(apply_cells_mt(block, row_udf, pool), ref);
+  EXPECT_EQ(cells_processed() - before, owned);
+  before = cells_processed();
+  EXPECT_EQ(apply_cells_omp(block, row_udf, threads), ref);
+  EXPECT_EQ(cells_processed() - before, owned);
+}
 
 TEST(ApplyMtTest, ResultOrderIsDeterministic) {
   // The prefix merge must place every thread's chunk at the right

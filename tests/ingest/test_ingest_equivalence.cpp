@@ -4,6 +4,7 @@
 // geometries, including windows that end mid-stream at drain time.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -93,6 +94,49 @@ TEST(IngestEquivalenceTest, StreamedMatchesBatchWorldSize4) {
   const core::Array2D offline =
       offline_similarity(files, cfg.similarity, cfg.engine);
   EXPECT_EQ(streamed, offline);
+}
+
+TEST(IngestEquivalenceTest, OverlapOfExactlyTwoMarginsMatchesBatch) {
+  // The tightest legal geometry: 100-column files, a one-file overlap,
+  // and M + L + B - 1 = 12 + 7 + 31 = 50, so the overlap is exactly
+  // 2 x margin and every interior emit edge sits exactly one margin
+  // from its window edge.
+  das::LocalSimilarityParams p;
+  p.window_half = 12;
+  p.lag_half = 7;
+  ASSERT_EQ(udf_margin_cols(p), 50U);
+  testing::TmpDir dir("equiv_tight");
+  const auto files = make_acquisition(dir, 5, 2.0);
+
+  for (const int nodes : {1, 4}) {
+    IngestConfig cfg;
+    cfg.window_files = 3;
+    cfg.overlap_files = 1;
+    cfg.similarity = p;
+    cfg.detect = false;
+    cfg.engine.nodes = nodes;
+    cfg.engine.cores_per_node = 1;
+
+    std::size_t windows = 0;
+    const core::Array2D streamed = streamed_similarity(files, cfg, &windows);
+    EXPECT_GE(windows, 3U) << "nodes " << nodes;
+    EXPECT_EQ(streamed, offline_similarity(files, p, cfg.engine))
+        << "nodes " << nodes;
+  }
+}
+
+TEST(IngestMarginTest, CoversSpanAndAnchorReach) {
+  das::LocalSimilarityParams p;
+  p.window_half = 10;
+  p.lag_half = 5;
+  EXPECT_EQ(udf_margin_cols(p), 10U + 5U + das::kSimilarityAnchor - 1);
+  EXPECT_EQ(udf_margin_cols(das::LocalSimilarityParams{}), 25U + 10U + 31U);
+  p.window_half = std::numeric_limits<std::size_t>::max() - 40;
+  p.lag_half = 10;
+  EXPECT_THROW((void)udf_margin_cols(p), InvalidArgument);
+  p.window_half = 1;
+  p.lag_half = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW((void)udf_margin_cols(p), InvalidArgument);
 }
 
 TEST(IngestEquivalenceTest, DrainMidWindowStillMatchesBatch) {

@@ -315,9 +315,11 @@ TEST_F(ToolsSmokeTest, IngestOnceMatchesAnalyzeByteForByte) {
   // The streaming acceptance criterion, end to end through the CLIs:
   // das_ingest --once over a spool must write the same container, byte
   // for byte, as the offline das_analyze run over the same directory.
+  // 80-column files: the one-file overlap must cover twice the
+  // similarity margin, 2 x (M + L + B - 1) = 2 x 37 columns.
   TmpDir spool("tools_ingest");
   ASSERT_EQ(run(tools_dir() + "/das_generate --dir " + spool.str() +
-                " --channels 12 --rate 20 --files 5 --seconds-per-file 2 "
+                " --channels 12 --rate 40 --files 5 --seconds-per-file 2 "
                 "--start 170728224510"),
             0);
   // Outputs go to a separate directory so the offline catalog scan
