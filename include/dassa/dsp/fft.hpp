@@ -1,16 +1,18 @@
 // DasLib: fast Fourier transform (Das_fft / Das_ifft in paper Table II).
 //
 // From-scratch FFT since no FFTW is available on the target system:
-// iterative radix-2 Cooley-Tukey for power-of-two lengths, with
-// Bluestein's chirp-z algorithm for arbitrary lengths (resampling and
-// correlation of 1-minute DAS records produce non-power-of-two sizes).
+// self-sorting mixed-radix (4, 2, 3, 5) Stockham passes for every
+// 5-smooth length, powers of two included, with Bluestein's chirp-z
+// algorithm for the remaining lengths. Resampled 1-minute DAS records
+// are 5-smooth (60000 = 2^5 * 3 * 5^4), so real pipelines never pay
+// for Bluestein.
 //
 // The engine is organised FFTW-style around two objects:
 //
 //  * FftPlan -- an immutable, size-keyed plan holding everything that
-//    depends only on the transform length: twiddle factors, the
-//    bit-reversal permutation, and (for non-power-of-two sizes) the
-//    Bluestein chirp together with the precomputed spectrum of its
+//    depends only on the transform length: the radix schedule and
+//    per-pass twiddles, and (for lengths with a prime factor above 5)
+//    the Bluestein chirp together with the precomputed spectrum of its
 //    padded filter. Plans are built once per size and shared through a
 //    read-mostly cache (dassa::SharedMutex); DAS pipelines transform
 //    ~10^4 identical-length channels, so after the first row every
@@ -20,8 +22,9 @@
 //    high-water mark of the sizes seen on that thread and are then
 //    reused, so steady-state transforms of a repeated length perform
 //    zero heap allocations (asserted by tests via dsp_stats()).
-//    Complex slots 0-1 and no real slots are reserved by the engine
-//    itself; kernel code (xcorr, filtfilt, ...) uses slots >= 2.
+//    Complex slots 0-2 are reserved by the engine itself (0 Bluestein
+//    convolution, 1 real packing, 2 Stockham ping-pong); kernel code
+//    (xcorr, ...) uses complex slots >= 3. No real slot is reserved.
 //
 // All entry points are thread-safe: plans are immutable after
 // construction and each thread owns its workspace, as DasLib functions
@@ -31,7 +34,6 @@
 #include <array>
 #include <complex>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -56,7 +58,9 @@ class FftWorkspace {
   static constexpr std::size_t kRealSlots = 6;
 
   /// Complex scratch buffer `slot`, resized to n elements (contents
-  /// unspecified). Slots 0-1 are reserved for the FFT engine itself.
+  /// unspecified). Slots 0-2 are reserved for the FFT engine itself: a
+  /// caller holding one of them across a transform would have it
+  /// overwritten.
   std::vector<cplx>& cbuf(std::size_t slot, std::size_t n);
 
   /// Real scratch buffer `slot`, resized to n elements (contents
@@ -106,19 +110,29 @@ class FftPlan {
  private:
   explicit FftPlan(std::size_t n);
 
-  void radix2(cplx* x, bool invert) const;
+  /// One self-sorting Stockham pass: `radix`-point DFTs over the
+  /// sub-sequences of stride `stride`, `m` twiddle groups.
+  struct Pass {
+    std::size_t radix;   // 2, 3, 4 or 5
+    std::size_t m;       // sub-transform length left after this pass
+    std::size_t stride;  // product of the radices of earlier passes
+    std::size_t tw;      // offset of this pass's twiddles in twiddles_
+  };
+
+  void stockham(cplx* x, cplx* scratch) const;
   void bluestein_forward(cplx* x, FftWorkspace& ws) const;
 
   std::size_t n_;
-  bool pow2_;
 
-  // Radix-2 tables (power-of-two lengths only).
-  std::vector<cplx> twiddles_;          // e^{-2 pi i k / n}, k < n/2
-  std::vector<std::uint32_t> bitrev_;   // permutation, bitrev_[i] < n
+  // Mixed-radix tables (5-smooth lengths only). Pass p's twiddle
+  // w^{jk} (w = e^{-2 pi i / (radix m)}, j < m, 1 <= k < radix) sits
+  // at twiddles_[tw + j (radix - 1) + k - 1].
+  std::vector<Pass> passes_;
+  std::vector<cplx> twiddles_;
 
-  // Bluestein tables (non-power-of-two lengths only).
+  // Bluestein tables (lengths with a prime factor above 5 only).
   std::size_t m_ = 0;                   // padded size: next_pow2(2n-1)
-  std::shared_ptr<const FftPlan> sub_;  // radix-2 plan of size m
+  std::shared_ptr<const FftPlan> sub_;  // Stockham plan of size m
   std::vector<cplx> chirp_;             // e^{-pi i k^2 / n}, k < n
   std::vector<cplx> chirp_spec_;        // FFT_m of the padded conj chirp
 

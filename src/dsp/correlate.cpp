@@ -55,9 +55,10 @@ std::vector<double> xcorr_full(std::span<const double> a,
   for (std::size_t i = 0; i < b.size(); ++i) rb[i] = b[b.size() - 1 - i];
   std::fill(rb.begin() + static_cast<std::ptrdiff_t>(b.size()), rb.end(), 0.0);
 
+  // Complex slots 3-4: forward_real rewrites the engine's slots 0-2.
   const std::size_t bins = plan->half_bins();
-  std::vector<cplx>& fa = ws.cbuf(2, bins);
-  std::vector<cplx>& fb = ws.cbuf(3, bins);
+  std::vector<cplx>& fa = ws.cbuf(3, bins);
+  std::vector<cplx>& fb = ws.cbuf(4, bins);
   plan->forward_real(ra.data(), fa.data(), ws);
   plan->forward_real(rb.data(), fb.data(), ws);
   for (std::size_t i = 0; i < bins; ++i) fa[i] *= fb[i];
@@ -73,7 +74,8 @@ std::vector<double> xcorr_spectra(std::span<const cplx> a,
   if (a.empty()) return {};
   const auto plan = FftPlan::get(a.size());
   FftWorkspace& ws = fft_workspace();
-  std::vector<cplx>& prod = ws.cbuf(2, a.size());
+  // Slot 3: the engine's own slots 0-2 are rewritten by the inverse.
+  std::vector<cplx>& prod = ws.cbuf(3, a.size());
   for (std::size_t i = 0; i < a.size(); ++i) prod[i] = a[i] * std::conj(b[i]);
   plan->inverse(prod.data(), ws);
   std::vector<double> out(prod.size());

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <map>
 #include <numbers>
+#include <utility>
 
 #include "dassa/common/error.hpp"
 #include "dassa/common/sync.hpp"
@@ -13,14 +14,139 @@ namespace dassa::dsp {
 
 namespace {
 
-// Workspace slot convention (see fft.hpp): the engine owns these two.
+// Workspace slot convention (see fft.hpp): the engine owns slots 0-2.
 constexpr std::size_t kSlotBluestein = 0;
 constexpr std::size_t kSlotRealPack = 1;
+constexpr std::size_t kSlotStockham = 2;
 
 void count_bytes(std::size_t bytes) {
   static Counter& allocated =
       global_counters().counter(counters::kDspFftBytesAllocated);
   allocated.add(bytes);
+}
+
+/// e^{-2 pi i k / n}.
+cplx unit_root(std::size_t k, std::size_t n) {
+  const double angle = -2.0 * std::numbers::pi * static_cast<double>(k) /
+                       static_cast<double>(n);
+  return {std::cos(angle), std::sin(angle)};
+}
+
+// Complex products written out in full: std::complex's operator* adds
+// an Inf/NaN test with a __muldc3 fallback call to every product.
+inline cplx mul(cplx a, cplx b) {
+  return {a.real() * b.real() - a.imag() * b.imag(),
+          a.real() * b.imag() + a.imag() * b.real()};
+}
+
+/// a * -i.
+inline cplx mul_neg_i(cplx a) { return {a.imag(), -a.real()}; }
+
+/// In-place forward DFT of P points.
+template <std::size_t P>
+inline void butterfly(cplx (&a)[P]) {
+  if constexpr (P == 2) {
+    const cplx t = a[1];
+    a[1] = a[0] - t;
+    a[0] = a[0] + t;
+  } else if constexpr (P == 3) {
+    constexpr double kS = 0.86602540378443864676;  // sin(2 pi / 3)
+    const cplx t1 = a[1] + a[2];
+    const cplx t2 = a[0] - 0.5 * t1;
+    const cplx t3 = mul_neg_i(kS * (a[1] - a[2]));
+    a[0] = a[0] + t1;
+    a[1] = t2 + t3;
+    a[2] = t2 - t3;
+  } else if constexpr (P == 4) {
+    const cplx t0 = a[0] + a[2];
+    const cplx t1 = a[0] - a[2];
+    const cplx t2 = a[1] + a[3];
+    const cplx t3 = mul_neg_i(a[1] - a[3]);
+    a[0] = t0 + t2;
+    a[1] = t1 + t3;
+    a[2] = t0 - t2;
+    a[3] = t1 - t3;
+  } else {
+    static_assert(P == 5, "radices are 2, 3, 4 and 5");
+    constexpr double kC1 = 0.30901699437494742410;   // cos(2 pi / 5)
+    constexpr double kC2 = -0.80901699437494742410;  // cos(4 pi / 5)
+    constexpr double kS1 = 0.95105651629515357212;   // sin(2 pi / 5)
+    constexpr double kS2 = 0.58778525229247312917;   // sin(4 pi / 5)
+    const cplx t1 = a[1] + a[4];
+    const cplx t2 = a[2] + a[3];
+    const cplx t3 = a[1] - a[4];
+    const cplx t4 = a[2] - a[3];
+    const cplx c1 = a[0] + kC1 * t1 + kC2 * t2;
+    const cplx c2 = a[0] + kC2 * t1 + kC1 * t2;
+    const cplx s1 = mul_neg_i(kS1 * t3 + kS2 * t4);
+    const cplx s2 = mul_neg_i(kS2 * t3 - kS1 * t4);
+    a[0] = a[0] + t1 + t2;
+    a[1] = c1 + s1;
+    a[4] = c1 - s1;
+    a[2] = c2 + s2;
+    a[3] = c2 - s2;
+  }
+}
+
+/// One P-point DFT: inputs x[r in_step], outputs y[k out_step], the
+/// k-th twiddled by w[k - 1] when kTwiddle.
+template <std::size_t P, bool kTwiddle>
+inline void dft_column(const cplx* x, std::size_t in_step, cplx* y,
+                       std::size_t out_step, const cplx* w) {
+  // Unrolled at -O2 as well as -O3, so a[] stays in registers.
+  cplx a[P];
+#pragma GCC unroll 5
+  for (std::size_t r = 0; r < P; ++r) a[r] = x[r * in_step];
+  butterfly<P>(a);
+  y[0] = a[0];
+#pragma GCC unroll 5
+  for (std::size_t k = 1; k < P; ++k) {
+    y[k * out_step] = kTwiddle ? mul(a[k], w[k - 1]) : a[k];
+  }
+}
+
+/// One decimation-in-frequency Stockham pass: for each twiddle group
+/// j < m and offset q < s, the P inputs x[q + s (j + r m)] are
+/// transformed and written, twiddled by w^{jk}, to y[q + s (P j + k)].
+/// With m == 1 the input and output index sets coincide, so the last
+/// pass may run in place (x == y). Group j = 0 has unit twiddles.
+template <std::size_t P>
+void stockham_pass(const cplx* x, cplx* y, std::size_t m, std::size_t s,
+                   const cplx* tw) {
+  const std::size_t in_step = s * m;
+  for (std::size_t q = 0; q < s; ++q) {
+    dft_column<P, false>(x + q, in_step, y + q, s, nullptr);
+  }
+  for (std::size_t j = 1; j < m; ++j) {
+    const cplx* w = tw + j * (P - 1);
+    const cplx* xj = x + s * j;
+    cplx* yj = y + s * P * j;
+    for (std::size_t q = 0; q < s; ++q) {
+      dft_column<P, true>(xj + q, in_step, yj + q, s, w);
+    }
+  }
+}
+
+/// Radix schedule for n, or empty if n has a prime factor above 5:
+/// fours first, then at most one two, then threes and fives.
+std::vector<std::size_t> radices(std::size_t n) {
+  std::vector<std::size_t> out;
+  while (n % 4 == 0) {
+    out.push_back(4);
+    n /= 4;
+  }
+  if (n % 2 == 0) {
+    out.push_back(2);
+    n /= 2;
+  }
+  for (const std::size_t p : {std::size_t{3}, std::size_t{5}}) {
+    while (n % p == 0) {
+      out.push_back(p);
+      n /= p;
+    }
+  }
+  if (n != 1) out.clear();
+  return out;
 }
 
 }  // namespace
@@ -58,37 +184,35 @@ FftWorkspace& fft_workspace() {
 // Plan construction + cache
 // ---------------------------------------------------------------------------
 
-FftPlan::FftPlan(std::size_t n) : n_(n), pow2_(is_pow2(n)) {
+FftPlan::FftPlan(std::size_t n) : n_(n) {
   DASSA_CHECK(n >= 1, "FFT plan requires length >= 1");
-  if (pow2_ && n_ > 1) {
-    twiddles_.resize(n_ / 2);
-    for (std::size_t k = 0; k < twiddles_.size(); ++k) {
-      const double angle = -2.0 * std::numbers::pi * static_cast<double>(k) /
-                           static_cast<double>(n_);
-      twiddles_[k] = cplx(std::cos(angle), std::sin(angle));
+  const std::vector<std::size_t> schedule = radices(n_);
+  if (n_ > 1 && !schedule.empty()) {
+    // Pass i splits sub-transforms of length len = radix * m; its
+    // twiddles are w_len^{jk} for j < m, 1 <= k < radix.
+    std::size_t len = n_;
+    std::size_t stride = 1;
+    for (const std::size_t p : schedule) {
+      const std::size_t m = len / p;
+      passes_.push_back({p, m, stride, twiddles_.size()});
+      for (std::size_t j = 0; j < m; ++j) {
+        for (std::size_t k = 1; k < p; ++k) {
+          twiddles_.push_back(unit_root(j * k, len));
+        }
+      }
+      len = m;
+      stride *= p;
     }
-    bitrev_.resize(n_);
-    for (std::size_t i = 1, j = 0; i < n_; ++i) {
-      std::size_t bit = n_ >> 1;
-      for (; j & bit; bit >>= 1) j ^= bit;
-      j ^= bit;
-      bitrev_[i] = static_cast<std::uint32_t>(j);
-    }
-  }
-  if (!pow2_) {
+  } else if (n_ > 1) {
     // Bluestein: chirp c[k] = e^{-pi i k^2 / n} and the spectrum of the
     // padded filter b[k] = conj(c[|k| mod n]) -- both depend only on n,
-    // so the per-call cost drops from three FFTs plus 2n sin/cos pairs
-    // to two FFTs and no trigonometry.
+    // so the per-call cost is two FFTs of size m and no trigonometry.
     m_ = next_pow2(2 * n_ - 1);
     sub_ = FftPlan::get(m_);
     chirp_.resize(n_);
     for (std::size_t k = 0; k < n_; ++k) {
       // k^2 mod 2n avoids precision loss for large k.
-      const std::size_t k2 = (k * k) % (2 * n_);
-      const double angle = -std::numbers::pi * static_cast<double>(k2) /
-                           static_cast<double>(n_);
-      chirp_[k] = cplx(std::cos(angle), std::sin(angle));
+      chirp_[k] = unit_root((k * k) % (2 * n_), 2 * n_);
     }
     chirp_spec_.assign(m_, cplx(0.0, 0.0));
     for (std::size_t k = 0; k < n_; ++k) {
@@ -97,7 +221,9 @@ FftPlan::FftPlan(std::size_t n) : n_(n), pow2_(is_pow2(n)) {
     for (std::size_t k = 1; k < n_; ++k) {
       chirp_spec_[m_ - k] = std::conj(chirp_[k]);
     }
-    sub_->radix2(chirp_spec_.data(), /*invert=*/false);
+    // Plan-local scratch: the caller may hold this thread's workspace.
+    std::vector<cplx> scratch(m_);
+    sub_->stockham(chirp_spec_.data(), scratch.data());
   }
   if (n_ % 2 == 0) {
     // Packed real-input transform: one complex FFT of length n/2 plus
@@ -105,14 +231,10 @@ FftPlan::FftPlan(std::size_t n) : n_(n), pow2_(is_pow2(n)) {
     const std::size_t h = n_ / 2;
     half_ = FftPlan::get(h);
     rtw_.resize(h + 1);
-    for (std::size_t k = 0; k <= h; ++k) {
-      const double angle = -2.0 * std::numbers::pi * static_cast<double>(k) /
-                           static_cast<double>(n_);
-      rtw_[k] = cplx(std::cos(angle), std::sin(angle));
-    }
+    for (std::size_t k = 0; k <= h; ++k) rtw_[k] = unit_root(k, n_);
   }
-  count_bytes(twiddles_.capacity() * sizeof(cplx) +
-              bitrev_.capacity() * sizeof(std::uint32_t) +
+  count_bytes(passes_.capacity() * sizeof(Pass) +
+              twiddles_.capacity() * sizeof(cplx) +
               chirp_.capacity() * sizeof(cplx) +
               chirp_spec_.capacity() * sizeof(cplx) +
               rtw_.capacity() * sizeof(cplx));
@@ -167,69 +289,65 @@ std::shared_ptr<const FftPlan> FftPlan::get(std::size_t n) {
 // Complex transforms
 // ---------------------------------------------------------------------------
 
-/// Iterative radix-2 Cooley-Tukey using the precomputed permutation and
-/// twiddles; `invert` runs the conjugate transform without the 1/n
-/// scale.
-void FftPlan::radix2(cplx* x, bool invert) const {
-  const std::size_t n = n_;
-  if (n <= 1) return;
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::size_t j = bitrev_[i];
-    if (i < j) std::swap(x[i], x[j]);
-  }
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::size_t stride = n / len;
-    const std::size_t half = len / 2;
-    for (std::size_t i = 0; i < n; i += len) {
-      for (std::size_t k = 0; k < half; ++k) {
-        cplx w = twiddles_[k * stride];
-        if (invert) w = std::conj(w);
-        const cplx u = x[i + k];
-        const cplx v = x[i + k + half] * w;
-        x[i + k] = u + v;
-        x[i + k + half] = u - v;
-      }
+/// Runs the Stockham passes, ping-ponging between x and scratch (n
+/// elements; unused when there is a single pass). With an odd pass
+/// count the last pass (m == 1) runs in place, so the result always
+/// ends in x without a copy.
+void FftPlan::stockham(cplx* x, cplx* scratch) const {
+  cplx* src = x;
+  cplx* dst = scratch;
+  const std::size_t count = passes_.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    const Pass& p = passes_[i];
+    if (i + 1 == count && count % 2 == 1) dst = src;
+    const cplx* tw = twiddles_.data() + p.tw;
+    switch (p.radix) {
+      case 2: stockham_pass<2>(src, dst, p.m, p.stride, tw); break;
+      case 3: stockham_pass<3>(src, dst, p.m, p.stride, tw); break;
+      case 4: stockham_pass<4>(src, dst, p.m, p.stride, tw); break;
+      default: stockham_pass<5>(src, dst, p.m, p.stride, tw); break;
     }
+    std::swap(src, dst);
   }
 }
 
 /// Bluestein forward transform as a convolution against the cached
-/// chirp filter spectrum. The only per-call buffer is one workspace
-/// slot of length m.
+/// chirp filter spectrum, IDFT(a) = conj(DFT(conj(a))) / m folded into
+/// the pointwise product. The only per-call buffers are the workspace
+/// slots of length m used here and by the sub-plan.
 void FftPlan::bluestein_forward(cplx* x, FftWorkspace& ws) const {
   std::vector<cplx>& a = ws.cbuf(kSlotBluestein, m_);
-  for (std::size_t k = 0; k < n_; ++k) a[k] = x[k] * chirp_[k];
+  for (std::size_t k = 0; k < n_; ++k) a[k] = mul(x[k], chirp_[k]);
   for (std::size_t k = n_; k < m_; ++k) a[k] = cplx(0.0, 0.0);
-  sub_->radix2(a.data(), /*invert=*/false);
-  for (std::size_t k = 0; k < m_; ++k) a[k] *= chirp_spec_[k];
-  sub_->radix2(a.data(), /*invert=*/true);
+  sub_->forward(a.data(), ws);
+  for (std::size_t k = 0; k < m_; ++k) {
+    a[k] = std::conj(mul(a[k], chirp_spec_[k]));
+  }
+  sub_->forward(a.data(), ws);
   const double scale = 1.0 / static_cast<double>(m_);
   for (std::size_t k = 0; k < n_; ++k) {
-    x[k] = a[k] * scale * chirp_[k];
+    x[k] = mul(std::conj(a[k]) * scale, chirp_[k]);
   }
 }
 
 void FftPlan::forward(cplx* x, FftWorkspace& ws) const {
   if (n_ <= 1) return;
-  if (pow2_) {
-    radix2(x, /*invert=*/false);
-  } else {
+  if (passes_.empty()) {
     bluestein_forward(x, ws);
+  } else if (passes_.size() == 1) {
+    stockham(x, nullptr);
+  } else {
+    stockham(x, ws.cbuf(kSlotStockham, n_).data());
   }
 }
 
 void FftPlan::inverse(cplx* x, FftWorkspace& ws) const {
-  const double scale = 1.0 / static_cast<double>(n_);
   if (n_ <= 1) return;
-  if (pow2_) {
-    radix2(x, /*invert=*/true);
-    for (std::size_t k = 0; k < n_; ++k) x[k] *= scale;
-    return;
-  }
-  // IDFT(x) = conj(DFT(conj(x))) / n, so the cached forward chirp
-  // spectrum serves both directions.
+  // IDFT(x) = conj(DFT(conj(x))) / n, so one set of forward tables
+  // serves both directions.
+  const double scale = 1.0 / static_cast<double>(n_);
   for (std::size_t k = 0; k < n_; ++k) x[k] = std::conj(x[k]);
-  bluestein_forward(x, ws);
+  forward(x, ws);
   for (std::size_t k = 0; k < n_; ++k) x[k] = std::conj(x[k]) * scale;
 }
 
@@ -244,8 +362,8 @@ void FftPlan::forward_real(const double* x, cplx* out,
     return;
   }
   if (n_ % 2 != 0) {
-    // Odd lengths (necessarily Bluestein or trivial): full complex
-    // transform of the real signal, keep the non-redundant half.
+    // Odd lengths: full complex transform of the real signal, keep the
+    // non-redundant half.
     std::vector<cplx>& buf = ws.cbuf(kSlotRealPack, n_);
     for (std::size_t i = 0; i < n_; ++i) buf[i] = cplx(x[i], 0.0);
     forward(buf.data(), ws);
@@ -263,11 +381,20 @@ void FftPlan::forward_real(const double* x, cplx* out,
   out[0] = cplx(z[0].real() + z[0].imag(), 0.0);
   out[h] = cplx(z[0].real() - z[0].imag(), 0.0);
   for (std::size_t k = 1; k < h; ++k) {
-    const cplx zk = z[k];
-    const cplx zc = std::conj(z[h - k]);
-    const cplx even = 0.5 * (zk + zc);
-    const cplx odd = cplx(0.0, -0.5) * (zk - zc);
-    out[k] = even + rtw_[k] * odd;
+    // even = (z[k] + conj(z[h-k])) / 2, odd = -i (z[k] - conj(z[h-k])) / 2,
+    // in real arithmetic: GCC's pairing of the complex form into vector
+    // registers costs a store-forwarding stall per bin.
+    const double ar = z[k].real();
+    const double ai = z[k].imag();
+    const double cr = z[h - k].real();
+    const double ci = z[h - k].imag();
+    const double er = 0.5 * (ar + cr);
+    const double ei = 0.5 * (ai - ci);
+    const double odr = 0.5 * (ai + ci);
+    const double odi = 0.5 * (cr - ar);
+    const double wr = rtw_[k].real();
+    const double wi = rtw_[k].imag();
+    out[k] = cplx(er + (wr * odr - wi * odi), ei + (wr * odi + wi * odr));
   }
 }
 
@@ -293,11 +420,19 @@ void FftPlan::inverse_real(const cplx* spec, double* out,
   const std::size_t h = n_ / 2;
   std::vector<cplx>& z = ws.cbuf(kSlotRealPack, h);
   for (std::size_t k = 0; k < h; ++k) {
-    const cplx xk = spec[k];
-    const cplx xc = std::conj(spec[h - k]);
-    const cplx even = 0.5 * (xk + xc);
-    const cplx odd = std::conj(rtw_[k]) * (0.5 * (xk - xc));
-    z[k] = even + cplx(0.0, 1.0) * odd;
+    // even = (X[k] + conj(X[h-k])) / 2, odd = conj(w^k) (X[k] -
+    // conj(X[h-k])) / 2, z = even + i odd; real arithmetic as above.
+    const double ar = spec[k].real();
+    const double ai = spec[k].imag();
+    const double cr = spec[h - k].real();
+    const double ci = spec[h - k].imag();
+    const double dr = 0.5 * (ar - cr);
+    const double di = 0.5 * (ai + ci);
+    const double wr = rtw_[k].real();
+    const double wi = rtw_[k].imag();
+    const double odr = wr * dr + wi * di;
+    const double odi = wr * di - wi * dr;
+    z[k] = cplx(0.5 * (ar + cr) - odi, 0.5 * (ai - ci) + odr);
   }
   half_->inverse(z.data(), ws);
   for (std::size_t j = 0; j < h; ++j) {

@@ -1,6 +1,8 @@
 #include "dassa/dsp/filter.hpp"
 
 #include <algorithm>
+#include <array>
+#include <utility>
 
 #include "dassa/common/error.hpp"
 #include "dassa/common/trace.hpp"
@@ -29,15 +31,64 @@ Normalised normalise(const FilterCoeffs& f) {
   return out;
 }
 
-/// Direct-form II transposed pass over x[0..n) into y[0..n) with state
-/// z[0..f.n-1). Each step reads x[i] before writing y[i], so x and y
+/// Direct-form II transposed recursion for a state length NS known at
+/// compile time: coefficients and state live in local arrays, and the
+/// state loop is unrolled (at -O2 as well as -O3) so they stay in
+/// registers. The per-sample expression order is exactly that of the
+/// general loop in run_df2t_raw, so the output is bitwise identical.
+template <std::size_t NS>
+void df2t_fixed(const Normalised& f, const double* x, std::size_t n,
+                std::ptrdiff_t step, double* y, double* z) {
+  double b[NS + 1];
+  double a[NS + 1];
+  double s[NS];
+  for (std::size_t k = 0; k <= NS; ++k) {
+    b[k] = f.b[k];
+    a[k] = f.a[k];
+  }
+  for (std::size_t k = 0; k < NS; ++k) s[k] = z[k];
+  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i) {
+    const double xi = x[i * step];
+    const double yi = b[0] * xi + s[0];
+#pragma GCC unroll 16
+    for (std::size_t k = 0; k + 1 < NS; ++k) {
+      s[k] = b[k + 1] * xi + s[k + 1] - a[k + 1] * yi;
+    }
+    s[NS - 1] = b[NS] * xi - a[NS] * yi;
+    y[i * step] = yi;
+  }
+  for (std::size_t k = 0; k < NS; ++k) z[k] = s[k];
+}
+
+using Df2tKernel = void (*)(const Normalised&, const double*, std::size_t,
+                            std::ptrdiff_t, double*, double*);
+
+template <std::size_t... I>
+constexpr std::array<Df2tKernel, sizeof...(I)> df2t_table(
+    std::index_sequence<I...>) {
+  return {&df2t_fixed<I + 1>...};
+}
+
+/// Fixed-length kernels for state lengths 1..16: Butterworth bandpass
+/// up to order 8 (state length 2 * order).
+constexpr std::array<Df2tKernel, 16> kDf2tFixed =
+    df2t_table(std::make_index_sequence<16>{});
+
+/// Direct-form II transposed pass over the n samples x[i * step] into
+/// y[i * step] with state z[0..f.n-1); step is +1, or -1 to run
+/// backwards from x. Each step reads x before writing y, so x and y
 /// may alias (in-place filtering), which filtfilt exploits to run both
 /// passes inside one workspace buffer.
 void run_df2t_raw(const Normalised& f, const double* x, std::size_t n,
-                  double* y, double* z) {
+                  std::ptrdiff_t step, double* y, double* z) {
   const std::size_t ns = f.n - 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double xi = x[i];
+  if (ns >= 1 && ns <= kDf2tFixed.size()) {
+    kDf2tFixed[ns - 1](f, x, n, step, y, z);
+    return;
+  }
+  // Pure gains and filters longer than the table.
+  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i) {
+    const double xi = x[i * step];
     const double yi = f.b[0] * xi + (ns > 0 ? z[0] : 0.0);
     for (std::size_t s = 0; s + 1 < ns; ++s) {
       z[s] = f.b[s + 1] * xi + z[s + 1] - f.a[s + 1] * yi;
@@ -45,7 +96,7 @@ void run_df2t_raw(const Normalised& f, const double* x, std::size_t n,
     if (ns > 0) {
       z[ns - 1] = f.b[ns] * xi - f.a[ns] * yi;
     }
-    y[i] = yi;
+    y[i * step] = yi;
   }
 }
 
@@ -53,7 +104,7 @@ std::vector<double> run_df2t(const Normalised& f, std::span<const double> x,
                              std::vector<double>& z) {
   DASSA_CHECK(z.size() == f.n - 1, "initial state has wrong length");
   std::vector<double> y(x.size());
-  run_df2t_raw(f, x.data(), x.size(), y.data(), z.data());
+  run_df2t_raw(f, x.data(), x.size(), 1, y.data(), z.data());
   return y;
 }
 
@@ -128,13 +179,13 @@ std::vector<double> filtfilt(const FilterCoeffs& f,
 
   // Forward pass (in place).
   for (std::size_t i = 0; i < ns; ++i) state[i] = zi[i] * ext.front();
-  run_df2t_raw(nf, ext.data(), ext_len, ext.data(), state.data());
+  run_df2t_raw(nf, ext.data(), ext_len, 1, ext.data(), state.data());
 
-  // Backward pass (in place on the reversed signal).
-  std::reverse(ext.begin(), ext.end());
-  for (std::size_t i = 0; i < ns; ++i) state[i] = zi[i] * ext.front();
-  run_df2t_raw(nf, ext.data(), ext_len, ext.data(), state.data());
-  std::reverse(ext.begin(), ext.end());
+  // Backward pass (in place, last sample first: the same arithmetic as
+  // filtering the reversed signal, without reversing it twice).
+  double* last = ext.data() + (ext_len - 1);
+  for (std::size_t i = 0; i < ns; ++i) state[i] = zi[i] * ext.back();
+  run_df2t_raw(nf, last, ext_len, -1, last, state.data());
 
   return {ext.begin() + static_cast<std::ptrdiff_t>(pad),
           ext.begin() + static_cast<std::ptrdiff_t>(pad + x.size())};

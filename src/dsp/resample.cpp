@@ -107,13 +107,13 @@ std::vector<double> resample(std::span<const double> x, std::size_t up,
   const std::size_t out_len =
       (n * up + down - 1) / down;  // ceil(n * up / down)
 
-  std::vector<double> y(out_len, 0.0);
-  for (std::size_t m = 0; m < out_len; ++m) {
-    // Output sample m sits at position m*down on the upsampled grid;
-    // the filter is centred there (delay-compensated).
+  // y[m] = sum_k h[k] * xup[pos - k] with xup[j] = x[j/up] when
+  // j % up == 0: output sample m sits at position pos = m*down + half on
+  // the upsampled grid, where the filter is centred (delay-compensated).
+  // Only taps hitting non-zero stuffed samples are visited, in
+  // ascending j.
+  const auto edge_output = [&](std::size_t m) {
     const std::size_t pos = m * down + half;
-    // y[m] = sum_k h[k] * xup[pos - k]; xup[j] = x[j/up] when j % up == 0.
-    // Iterate only over taps hitting non-zero stuffed samples.
     const std::size_t k_min = (pos >= h.size() - 1) ? pos - (h.size() - 1) : 0;
     // First j >= k_min with j % up == 0:
     std::size_t j = ((k_min + up - 1) / up) * up;
@@ -123,8 +123,43 @@ std::vector<double> resample(std::span<const double> x, std::size_t up,
       if (src >= n) break;
       acc += h[pos - j] * x[src];
     }
-    y[m] = acc;
+    return acc;
+  };
+
+  std::vector<double> y(out_len, 0.0);
+  std::size_t m = 0;
+  if (up == 1 && n > half) {
+    // Interior outputs [lo, hi) have every tap inside x: pos >= taps-1
+    // and pos <= n-1. They skip the bounds checks and run four at a
+    // time, each with its own accumulator summing its taps in the same
+    // ascending order as edge_output, so the result is bitwise equal.
+    const std::size_t taps = h.size();
+    const std::size_t lo = (half + down - 1) / down;
+    const std::size_t hi = (n - 1 - half) / down + 1;
+    for (; m < lo && m < out_len; ++m) y[m] = edge_output(m);
+    for (; m + 4 <= hi; m += 4) {
+      const double* x0 = x.data() + (m * down + half - (taps - 1));
+      const double* x1 = x0 + down;
+      const double* x2 = x1 + down;
+      const double* x3 = x2 + down;
+      double a0 = 0.0;
+      double a1 = 0.0;
+      double a2 = 0.0;
+      double a3 = 0.0;
+      for (std::size_t t = 0; t < taps; ++t) {
+        const double hk = h[taps - 1 - t];
+        a0 += hk * x0[t];
+        a1 += hk * x1[t];
+        a2 += hk * x2[t];
+        a3 += hk * x3[t];
+      }
+      y[m] = a0;
+      y[m + 1] = a1;
+      y[m + 2] = a2;
+      y[m + 3] = a3;
+    }
   }
+  for (; m < out_len; ++m) y[m] = edge_output(m);
   return y;
 }
 

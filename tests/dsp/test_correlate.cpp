@@ -182,7 +182,10 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::size_t, std::size_t>{13, 7},
                       std::pair<std::size_t, std::size_t>{31, 31},
                       std::pair<std::size_t, std::size_t>{100, 3},
-                      std::pair<std::size_t, std::size_t>{127, 129}));
+                      std::pair<std::size_t, std::size_t>{127, 129},
+                      std::pair<std::size_t, std::size_t>{60, 60},
+                      std::pair<std::size_t, std::size_t>{240, 7},
+                      std::pair<std::size_t, std::size_t>{3750, 3750}));
 
 TEST(XcorrTest, AutocorrelationPeaksAtZeroLag) {
   std::mt19937_64 rng(2);
@@ -210,6 +213,33 @@ TEST(XcorrSpectraTest, CircularCorrelationIdentity) {
   const std::vector<double> r = xcorr_spectra(fx, fx);
   EXPECT_NEAR(r[0], energy, 1e-8);
 }
+
+// xcorr_spectra runs the inverse transform on its product buffer; the
+// inverse's own scratch (workspace slots 0-2) must not be that buffer.
+// Checked against the direct circular correlation
+// r[k] = sum_j a[(j + k) mod n] b[j] on mixed-radix and Bluestein
+// lengths.
+class XcorrSpectraLengths : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(XcorrSpectraLengths, MatchesDirectCircularCorrelation) {
+  const std::size_t n = GetParam();
+  std::mt19937_64 rng(n * 17 + 1);
+  std::normal_distribution<double> dist;
+  std::vector<double> a(n);
+  std::vector<double> b(n);
+  for (auto& v : a) v = dist(rng);
+  for (auto& v : b) v = dist(rng);
+  const std::vector<double> r = xcorr_spectra(rfft(a), rfft(b));
+  ASSERT_EQ(r.size(), n);
+  for (std::size_t k = 0; k < n; ++k) {
+    double direct = 0.0;
+    for (std::size_t j = 0; j < n; ++j) direct += a[(j + k) % n] * b[j];
+    EXPECT_NEAR(r[k], direct, 1e-9) << "n=" << n << " k=" << k;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Lengths, XcorrSpectraLengths,
+                         ::testing::Values(60, 97, 240, 1024, 3750));
 
 TEST(PearsonTest, KnownValues) {
   const std::vector<double> a{1.0, 2.0, 3.0, 4.0};

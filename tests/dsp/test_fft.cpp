@@ -1,5 +1,6 @@
 // FFT unit + property tests: known transforms, round trips, Parseval,
-// linearity, power-of-two and Bluestein paths.
+// linearity, naive-DFT oracles over the mixed-radix (5-smooth) and
+// Bluestein paths.
 #include "dassa/dsp/fft.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <numbers>
 #include <random>
 #include <span>
+#include <utility>
 
 #include "dassa/dsp/stats.hpp"
 
@@ -117,14 +119,18 @@ TEST_P(FftRoundTrip, ParsevalHolds) {
               1e-7 * (1.0 + time_energy));
 }
 
-// Cover radix-2 sizes, primes (pure Bluestein), and composites.
+// Powers of two, primes (pure Bluestein), composites with a factor
+// above 5 (Bluestein), and 5-smooth lengths hitting every radix mix:
+// 6 = 2*3, 9 = 3*3, 15 = 3*5, 25 = 5*5, 45 = 3^2*5, 48 = 4^2*3,
+// 120 = 4*2*3*5, 375 = 3*5^3, 3750 = 2*3*5^4 and 30000 = 4^2*3*5^4
+// (the resampled DAS row).
 INSTANTIATE_TEST_SUITE_P(Sizes, FftRoundTrip,
-                         ::testing::Values(1, 2, 3, 4, 5, 7, 8, 12, 16, 17,
-                                           31, 32, 60, 97, 100, 128, 243, 256,
-                                           499, 512, 1000, 1024));
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15,
+                                           16, 17, 25, 31, 32, 45, 48, 60, 97,
+                                           100, 120, 128, 243, 256, 375, 499,
+                                           512, 1000, 1024, 3750, 30000));
 
-TEST(FftTest, LinearityOnBluesteinPath) {
-  const std::size_t n = 30;  // non-power-of-two
+void expect_linear(std::size_t n) {
   std::mt19937_64 rng(99);
   std::normal_distribution<double> dist;
   std::vector<cplx> a(n);
@@ -140,31 +146,93 @@ TEST(FftTest, LinearityOnBluesteinPath) {
   const std::vector<cplx> fsum = fft(sum);
   for (std::size_t i = 0; i < n; ++i) {
     const cplx expect = 2.0 * fa[i] + 3.0 * fb[i];
-    EXPECT_NEAR(std::abs(fsum[i] - expect), 0.0, 1e-7);
+    EXPECT_NEAR(std::abs(fsum[i] - expect), 0.0, 1e-7) << "n=" << n;
   }
 }
 
-TEST(FftTest, BluesteinMatchesNaiveDft) {
-  const std::size_t n = 23;  // prime: must use Bluestein
-  std::mt19937_64 rng(5);
+TEST(FftTest, LinearityOnBluesteinPath) {
+  expect_linear(28);  // 4 * 7: Bluestein
+  expect_linear(30);  // 2 * 3 * 5: mixed-radix passes
+}
+
+/// Direct DFT bin k of x in long double, angles reduced exactly via
+/// (j k) mod n: the oracle for the fast paths.
+cplx direct_bin(const std::vector<cplx>& x, std::size_t k) {
+  const std::size_t n = x.size();
+  long double re = 0.0L;
+  long double im = 0.0L;
+  for (std::size_t j = 0; j < n; ++j) {
+    const long double angle = -2.0L * std::numbers::pi_v<long double> *
+                              static_cast<long double>((j * k) % n) /
+                              static_cast<long double>(n);
+    const long double c = std::cos(angle);
+    const long double sn = std::sin(angle);
+    re += x[j].real() * c - x[j].imag() * sn;
+    im += x[j].real() * sn + x[j].imag() * c;
+  }
+  return {static_cast<double>(re), static_cast<double>(im)};
+}
+
+std::vector<cplx> random_complex(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
   std::normal_distribution<double> dist;
   std::vector<cplx> x(n);
   for (auto& v : x) v = cplx(dist(rng), dist(rng));
+  return x;
+}
 
-  std::vector<cplx> naive(n, cplx(0, 0));
-  for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double angle = -2.0 * std::numbers::pi *
-                           static_cast<double>(k * j) /
-                           static_cast<double>(n);
-      naive[k] += x[j] * cplx(std::cos(angle), std::sin(angle));
-    }
-  }
+// Error bound for unit-variance complex input of length n: the bins
+// have RMS sqrt(2n), and a stable FFT's error grows like
+// eps * log2(n) * RMS. 2e-15 * sqrt(n) * (1 + log2 n) is about 5x the
+// largest error measured over these lengths (0.18 of the bound, at the
+// Bluestein prime 23; the 5-smooth lengths stay under 0.09).
+double dft_tolerance(std::size_t n) {
+  const double dn = static_cast<double>(n);
+  return 2e-15 * std::sqrt(dn) * (1.0 + std::log2(dn));
+}
+
+class FftNaiveDft : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FftNaiveDft, MatchesNaiveDft) {
+  const std::size_t n = GetParam();
+  const std::vector<cplx> x = random_complex(n, n * 13 + 5);
   const std::vector<cplx> fast = fft(x);
   for (std::size_t k = 0; k < n; ++k) {
-    EXPECT_NEAR(std::abs(fast[k] - naive[k]), 0.0, 1e-7) << "bin " << k;
+    EXPECT_LE(std::abs(fast[k] - direct_bin(x, k)), dft_tolerance(n))
+        << "n=" << n << " bin " << k;
   }
 }
+
+// 5-smooth lengths (each radix alone and mixed, powers of two
+// included), primes, and composites with a prime factor above 5.
+INSTANTIATE_TEST_SUITE_P(
+    Lengths, FftNaiveDft,
+    ::testing::Values(2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 20, 23, 25, 27,
+                      30, 32, 45, 48, 64, 75, 81, 97, 98, 100, 120, 125,
+                      128, 225, 240, 243, 256, 375, 499, 500, 625, 720, 997,
+                      1000, 1024));
+
+// The DAS row lengths: 30000 is the complex transform behind a
+// 60000-sample real row. 64 bins (DC, Nyquist, the last bin and a
+// spread in between) against a direct O(n) sum each.
+class FftLongRow : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FftLongRow, SpotBinsMatchDirectSum) {
+  const std::size_t n = GetParam();
+  const std::vector<cplx> x = random_complex(n, n + 1);
+  const std::vector<cplx> fast = fft(x);
+  std::vector<std::size_t> bins{0, 1, n / 2, n - 1};
+  for (std::size_t i = 0; bins.size() < 64; ++i) {
+    bins.push_back((i * 7919 + 3) % n);
+  }
+  for (const std::size_t k : bins) {
+    EXPECT_LE(std::abs(fast[k] - direct_bin(x, k)), dft_tolerance(n))
+        << "n=" << n << " bin " << k;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(DasRows, FftLongRow,
+                         ::testing::Values(30000, 60000));
 
 TEST(FftTest, RfftOfRealSignalIsConjugateSymmetric) {
   std::mt19937_64 rng(17);
@@ -281,15 +349,24 @@ TEST(FftTest, RfftHalfBatchMatchesPerRow) {
 TEST(FftTest, SteadyStateTransformsAllocateNothing) {
   std::mt19937_64 rng(73);
   std::normal_distribution<double> dist;
-  std::vector<double> x(1000);  // Bluestein path: the heaviest scratch use
-  for (auto& v : x) v = dist(rng);
-  // Warm up: builds the plan chain and grows this thread's workspace.
-  (void)rfft_half(x);
-  (void)irfft_half(rfft_half(x), x.size());
+  // 1000: packed half of 500 on the mixed-radix passes (slots 1 and 2);
+  // 1994: packed half of prime 997 on Bluestein, the heaviest scratch
+  // use (slots 0, 1 and 2).
+  std::vector<std::vector<double>> signals;
+  for (const std::size_t n : {std::size_t{1000}, std::size_t{1994}}) {
+    std::vector<double> x(n);
+    for (auto& v : x) v = dist(rng);
+    // Warm up: builds the plan chain and grows this thread's workspace.
+    (void)rfft_half(x);
+    (void)irfft_half(rfft_half(x), x.size());
+    signals.push_back(std::move(x));
+  }
   const std::uint64_t before = dsp_stats().fft_bytes_allocated;
   for (std::size_t rep = 0; rep < 8; ++rep) {
-    const std::vector<double> back = irfft_half(rfft_half(x), x.size());
-    EXPECT_NEAR(back[rep], x[rep], 1e-8);
+    for (const std::vector<double>& x : signals) {
+      const std::vector<double> back = irfft_half(rfft_half(x), x.size());
+      EXPECT_NEAR(back[rep], x[rep], 1e-8);
+    }
   }
   EXPECT_EQ(dsp_stats().fft_bytes_allocated, before)
       << "steady-state transforms must not grow plans or workspace";

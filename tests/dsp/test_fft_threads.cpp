@@ -28,7 +28,8 @@ std::vector<double> make_signal(std::size_t n, std::uint64_t seed) {
 
 TEST(FftThreadsTest, ConcurrentPlanLookupsAgreeWithReference) {
   // Sizes chosen so threads race to build the same plans: pow2, even
-  // composite (packed real path), and primes (Bluestein + sub-plans).
+  // 5-smooth composites (packed real path on mixed-radix passes), and
+  // primes (Bluestein + sub-plans).
   const std::vector<std::size_t> sizes{64, 100, 101, 250, 256, 499, 1000};
   std::vector<std::vector<double>> signals;
   std::vector<std::vector<cplx>> expected;
@@ -76,8 +77,35 @@ TEST(FftThreadsTest, RaceToBuildOnePlanYieldsOneInstance) {
   EXPECT_EQ(plans[0]->size(), kColdSize);
 }
 
+TEST(FftThreadsTest, RaceToBuildMixedRadixPlanAgreesAcrossThreads) {
+  // A cold 5-smooth size (2 * 3^2 * 5^4): every thread races to build
+  // the plan, its twiddle tables and its half-size sub-plan, then runs
+  // the transform at once on its own workspace. One plan must win, and
+  // the passes are deterministic, so every spectrum is bitwise equal.
+  constexpr std::size_t kColdSize = 11250;
+  constexpr std::size_t kThreads = 8;
+  const std::vector<double> x = make_signal(kColdSize, 77);
+  ThreadPool pool(kThreads);
+  std::vector<std::shared_ptr<const FftPlan>> plans(kThreads);
+  std::vector<std::vector<cplx>> spectra(kThreads);
+  pool.parallel_for(kThreads,
+                    [&](std::size_t, std::size_t begin, std::size_t end) {
+                      for (std::size_t i = begin; i < end; ++i) {
+                        plans[i] = FftPlan::get(kColdSize);
+                        spectra[i] = rfft_half(x);
+                      }
+                    });
+  for (std::size_t i = 1; i < kThreads; ++i) {
+    EXPECT_EQ(plans[i].get(), plans[0].get());
+    ASSERT_EQ(spectra[i].size(), spectra[0].size());
+    for (std::size_t k = 0; k < spectra[0].size(); ++k) {
+      ASSERT_EQ(spectra[i][k], spectra[0][k]) << "thread " << i << " bin " << k;
+    }
+  }
+}
+
 TEST(FftThreadsTest, RoundTripsStayExactUnderContention) {
-  const std::vector<double> x = make_signal(750, 42);  // even non-pow2
+  const std::vector<double> x = make_signal(750, 42);  // even 5-smooth
   constexpr std::size_t kThreads = 6;
   ThreadPool pool(kThreads);
   std::atomic<std::size_t> failures{0};

@@ -4,11 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <random>
+#include <string>
+#include <tuple>
 
 #include "dassa/common/error.hpp"
 #include "dassa/dsp/butterworth.hpp"
+#include "dsp/kernel_oracles.hpp"
 
 namespace dassa::dsp {
 namespace {
@@ -161,6 +166,80 @@ TEST(FiltfiltTest, RejectsTooShortInput) {
   const std::vector<double> ok(13, 1.0);
   EXPECT_NO_THROW((void)filtfilt(f, ok));
 }
+
+// Bitwise pins: the fixed-length DF2T kernels (state length 1..16) and
+// the general loop beyond them keep the oracle's per-sample operation
+// order. Butterworth lowpass orders 1-10 give state lengths 1-10,
+// bandpass orders 1-10 give 2-20, so both sides of the table are hit.
+class FilterOracleTest
+    : public ::testing::TestWithParam<std::tuple<bool, int>> {
+ protected:
+  static FilterCoeffs design() {
+    const auto [bandpass, order] = GetParam();
+    return bandpass ? butter_bandpass(order, 0.1, 0.6)
+                    : butter_lowpass(order, 0.3);
+  }
+
+  static std::vector<double> signal(std::size_t n, std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::normal_distribution<double> dist;
+    std::vector<double> x(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = dist(rng) + (i >= n / 3 ? 2.0 : 0.0);  // noise plus a step
+    }
+    return x;
+  }
+
+  static void expect_bitwise(const std::vector<double>& got,
+                             const std::vector<double>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_TRUE(std::isfinite(want[i])) << "unstable design, i=" << i;
+      EXPECT_EQ(got[i], want[i]) << "i=" << i;
+    }
+  }
+};
+
+TEST_P(FilterOracleTest, LfilterIsBitwiseEqual) {
+  const FilterCoeffs f = design();
+  for (const std::size_t n : {std::size_t{1}, std::size_t{37},
+                              std::size_t{4099}}) {
+    const std::vector<double> x = signal(n, n + 3);
+    expect_bitwise(lfilter(f, x), oracle::lfilter(f, x));
+  }
+}
+
+TEST_P(FilterOracleTest, LfilterWithStateIsBitwiseEqual) {
+  const FilterCoeffs f = design();
+  const std::vector<double> x = signal(2048, 11);
+  std::vector<double> zi = lfilter_zi(f);
+  for (double& v : zi) v *= x.front();
+  std::vector<double> z_oracle = zi;
+  const std::vector<double> y = lfilter(f, x, zi);
+  const oracle::Normalised nf = oracle::normalise(f);
+  std::vector<double> want(x.size());
+  oracle::df2t(nf, x.data(), x.size(), want.data(), z_oracle.data());
+  expect_bitwise(y, want);
+  expect_bitwise(zi, z_oracle);
+}
+
+TEST_P(FilterOracleTest, FiltfiltIsBitwiseEqual) {
+  const FilterCoeffs f = design();
+  const std::size_t pad = 3 * (std::max(f.a.size(), f.b.size()) - 1);
+  for (const std::size_t n : {pad + 1, std::size_t{1000},
+                              std::size_t{10003}}) {
+    const std::vector<double> x = signal(n, n * 7 + 1);
+    expect_bitwise(filtfilt(f, x), oracle::filtfilt(f, x));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Orders, FilterOracleTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Range(1, 11)),
+    [](const ::testing::TestParamInfo<std::tuple<bool, int>>& p) {
+      return std::string(std::get<0>(p.param) ? "bandpass" : "lowpass") +
+             std::to_string(std::get<1>(p.param));
+    });
 
 }  // namespace
 }  // namespace dassa::dsp

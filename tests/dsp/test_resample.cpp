@@ -6,8 +6,12 @@
 
 #include <cmath>
 #include <numbers>
+#include <random>
+#include <string>
+#include <utility>
 
 #include "dassa/common/error.hpp"
+#include "dsp/kernel_oracles.hpp"
 
 namespace dassa::dsp {
 namespace {
@@ -128,6 +132,47 @@ TEST(DecimateTest, MatchesResampleByOne) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
 }
+
+// Bitwise pin: the four-at-a-time interior path (up == 1) and the
+// bounds-checked loop elsewhere sum each output's taps in the oracle's
+// order. Lengths run from shorter than the filter, through the
+// lengths where the interior appears, to 10^4 + 3.
+class ResampleOracleTest
+    : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
+
+TEST_P(ResampleOracleTest, IsBitwiseEqual) {
+  const auto [up, down] = GetParam();
+  const std::size_t taps = resample_filter(up, down).size();
+  std::mt19937_64 rng(up * 31 + down);
+  std::normal_distribution<double> dist;
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{2}, std::size_t{7}, taps / 2, taps - 1,
+        taps, taps + 1, taps + 4 * down + 1, 3 * taps + 2, std::size_t{1000},
+        std::size_t{10003}}) {
+    std::vector<double> x(n);
+    for (auto& v : x) v = dist(rng);
+    const std::vector<double> got = resample(x, up, down);
+    const std::vector<double> want = oracle::resample(x, up, down);
+    ASSERT_EQ(got.size(), want.size()) << "n=" << n;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ratios, ResampleOracleTest,
+    ::testing::Values(std::pair<std::size_t, std::size_t>{1, 2},
+                      std::pair<std::size_t, std::size_t>{1, 3},
+                      std::pair<std::size_t, std::size_t>{1, 5},
+                      std::pair<std::size_t, std::size_t>{2, 3},
+                      std::pair<std::size_t, std::size_t>{3, 2},
+                      std::pair<std::size_t, std::size_t>{4, 1}),
+    [](const ::testing::TestParamInfo<std::pair<std::size_t, std::size_t>>&
+           p) {
+      return "up" + std::to_string(p.param.first) + "_down" +
+             std::to_string(p.param.second);
+    });
 
 }  // namespace
 }  // namespace dassa::dsp
