@@ -73,7 +73,7 @@ int main() {
   struct Strategy {
     const char* name;
     io::ParallelReadResult (*fn)(mpi::Comm&, const io::Vca&,
-                                 const io::IoCostParams&);
+                                 const io::IoCostParams&, io::RowHalo);
   };
   for (const Strategy s :
        {Strategy{"collective-per-file", io::read_vca_collective_per_file},
@@ -83,7 +83,7 @@ int main() {
     timer.reset();
     const mpi::RunReport report =
         mpi::Runtime::run(ranks, [&](mpi::Comm& comm) {
-          (void)s.fn(comm, vca, io::IoCostParams{});
+          (void)s.fn(comm, vca, io::IoCostParams{}, io::RowHalo{});
         });
     std::cout << s.name << ": wall " << timer.seconds() << " s, broadcasts "
               << global_counters().get(counters::kMpiBcasts)

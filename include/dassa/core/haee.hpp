@@ -126,17 +126,28 @@ struct EngineReport {
                                     const RowUdfFactory& factory,
                                     std::size_t extra_bytes_per_rank = 0);
 
-/// Exchange `halo` ghost channels with the neighbouring ranks and
-/// return the rank's local block (exposed for tests).
-[[nodiscard]] LocalBlock build_local_block(
-    mpi::Comm& comm, const io::ParallelReadResult& read, Shape2D global,
-    std::size_t halo);
+/// Ghost rows rank `rank` of `p` reserves around its channel block of
+/// a `global` array for a `halo`-channel ghost zone under `mode`: with
+/// kExchange every side that has a neighbour rank gets `halo` rows
+/// (throws InvalidArgument when `halo` is wider than the smallest
+/// channel partition); with kOverlapRead each side gets up to `halo`
+/// rows, clipped at the array's edges.
+[[nodiscard]] io::RowHalo ghost_rows(HaloMode mode, Shape2D global, int p,
+                                     int rank, std::size_t halo);
 
-/// Ghost channels obtained by re-reading the halo rows from the VCA
-/// instead of communicating (HaloMode::kOverlapRead). The extra reads
-/// are charged to the rank's modeled time under `io`.
+/// Adopt a read result (with kExchange ghost rows reserved) as the
+/// rank's local block, and fill its ghost rows by exchanging boundary
+/// rows with the neighbouring ranks (exposed for tests).
+[[nodiscard]] LocalBlock build_local_block(mpi::Comm& comm,
+                                           io::ParallelReadResult read,
+                                           Shape2D global);
+
+/// Adopt a read result (with kOverlapRead ghost rows reserved) as the
+/// rank's local block, and fill its ghost rows by re-reading them from
+/// the VCA instead of communicating. The extra reads are charged to the
+/// rank's modeled time under `io`.
 [[nodiscard]] LocalBlock build_local_block_overlap(
-    mpi::Comm& comm, const io::Vca& vca, const io::ParallelReadResult& read,
-    Shape2D global, std::size_t halo, const io::IoCostParams& io = {});
+    mpi::Comm& comm, const io::Vca& vca, io::ParallelReadResult read,
+    Shape2D global, const io::IoCostParams& io = {});
 
 }  // namespace dassa::core

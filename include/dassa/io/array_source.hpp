@@ -1,9 +1,9 @@
 // DASS: abstract random-access 2D array sources.
 //
 // DASSA's analysis engine consumes its input through this interface,
-// so a plain DASH5 file, a virtually concatenated array (VCA), and a
-// logical array view (LAV) are interchangeable inputs -- the
-// composability shown in paper Fig. 3.
+// so a plain DASH5 file (Dash5File), a virtually concatenated array
+// (VCA), and a logical array view (LAV) are interchangeable inputs --
+// the composability shown in paper Fig. 3.
 #pragma once
 
 #include <memory>
@@ -24,9 +24,21 @@ class ArraySource {
 
   [[nodiscard]] virtual Shape2D shape() const = 0;
 
+  /// Read a rectangular selection into caller memory: row r of the
+  /// selection lands at `dst + r * dst_stride`, so a read can fill a
+  /// column band of a wider buffer in place. Requires
+  /// `dst_stride >= slab.col_cnt`; nothing outside the selection's
+  /// footprint in `dst` is written.
+  virtual void read_slab_into(const Slab2D& slab, double* dst,
+                              std::size_t dst_stride) const = 0;
+
   /// Read a rectangular selection (row-major, slab.size() elements).
-  [[nodiscard]] virtual std::vector<double> read_slab(
-      const Slab2D& slab) const = 0;
+  [[nodiscard]] std::vector<double> read_slab(const Slab2D& slab) const {
+    slab.validate_against(shape());
+    std::vector<double> out(slab.size());
+    read_slab_into(slab, out.data(), slab.col_cnt);
+    return out;
+  }
 
   /// Read everything.
   [[nodiscard]] std::vector<double> read_all() const {
@@ -47,13 +59,13 @@ class Lav final : public ArraySource {
 
   [[nodiscard]] Shape2D shape() const override { return window_.shape(); }
 
-  [[nodiscard]] std::vector<double> read_slab(
-      const Slab2D& slab) const override {
+  void read_slab_into(const Slab2D& slab, double* dst,
+                      std::size_t dst_stride) const override {
     slab.validate_against(shape());
     const Slab2D absolute{window_.row_off + slab.row_off,
                           window_.col_off + slab.col_off, slab.row_cnt,
                           slab.col_cnt};
-    return source_->read_slab(absolute);
+    source_->read_slab_into(absolute, dst, dst_stride);
   }
 
   [[nodiscard]] const Slab2D& window() const { return window_; }
@@ -75,16 +87,16 @@ class MemorySource final : public ArraySource {
 
   [[nodiscard]] Shape2D shape() const override { return shape_; }
 
-  [[nodiscard]] std::vector<double> read_slab(
-      const Slab2D& slab) const override {
+  void read_slab_into(const Slab2D& slab, double* dst,
+                      std::size_t dst_stride) const override {
     slab.validate_against(shape_);
-    std::vector<double> out(slab.size());
+    DASSA_CHECK(dst_stride >= slab.col_cnt,
+                "destination stride narrower than the selection");
     for (std::size_t r = 0; r < slab.row_cnt; ++r) {
       const double* src =
           data_.data() + shape_.at(slab.row_off + r, slab.col_off);
-      std::copy(src, src + slab.col_cnt, out.data() + r * slab.col_cnt);
+      std::copy(src, src + slab.col_cnt, dst + r * dst_stride);
     }
-    return out;
   }
 
  private:

@@ -20,6 +20,7 @@
 
 #include "dassa/common/shape.hpp"
 #include "dassa/common/sync.hpp"
+#include "dassa/io/array_source.hpp"
 #include "dassa/io/codec.hpp"
 #include "dassa/io/file_io.hpp"
 #include "dassa/io/kv.hpp"
@@ -127,11 +128,13 @@ class Dash5StreamWriter {
 };
 
 /// Read-only handle on a DASH5 file. Opening parses and CRC-verifies
-/// the header only; dataset bytes are read on demand.
-class Dash5File {
+/// the header only; dataset bytes are read on demand. A file is itself
+/// an ArraySource, so single files, VCAs and LAVs are interchangeable
+/// analysis inputs.
+class Dash5File final : public ArraySource {
  public:
   explicit Dash5File(const std::string& path);
-  ~Dash5File();
+  ~Dash5File() override;
 
   // Holds a mutex and registers with the global chunk cache under a
   // per-instance identity, so the handle is pinned in place.
@@ -144,7 +147,7 @@ class Dash5File {
     return header_.objects;
   }
   [[nodiscard]] DType dtype() const { return header_.dtype; }
-  [[nodiscard]] Shape2D shape() const { return header_.shape; }
+  [[nodiscard]] Shape2D shape() const override { return header_.shape; }
   [[nodiscard]] Layout layout() const { return header_.layout; }
   [[nodiscard]] ChunkShape chunk() const { return header_.chunk; }
   /// Container format version: 2 (plain) or 3 (compressed chunks).
@@ -156,15 +159,16 @@ class Dash5File {
     return index_;
   }
 
-  /// Read the whole dataset with a single I/O call.
-  [[nodiscard]] std::vector<double> read_all() const;
-
-  /// Read a rectangular selection. Full-width row blocks are served
-  /// with one contiguous read; partial-width selections fall back to
-  /// one read per row (each counted, which is exactly the small-I/O
-  /// amplification the paper's VCA discussion is about).
-  /// Reads are `const`: only the (non-observable) file cursor moves.
-  [[nodiscard]] std::vector<double> read_slab(const Slab2D& slab) const;
+  /// Read a rectangular selection into caller memory: row r of the
+  /// selection lands at `dst + r * dst_stride` (at least slab.col_cnt),
+  /// converted to double once, at the destination. Full-width row
+  /// blocks are served with one contiguous read; partial-width
+  /// selections fall back to one read per row (each counted, which is
+  /// exactly the small-I/O amplification the paper's VCA discussion is
+  /// about). Reads are `const`: only the (non-observable) file cursor
+  /// moves.
+  void read_slab_into(const Slab2D& slab, double* dst,
+                      std::size_t dst_stride) const override;
 
   /// Parse only the header of `path` (used by VCA construction, which
   /// must never touch data bytes).
@@ -204,14 +208,13 @@ class Dash5File {
   struct Prefetch;
   std::unique_ptr<Prefetch> prefetch_;
 
-  void decode_elems(const std::vector<std::byte>& raw, std::size_t count,
-                    double* out) const;
   void parse_chunk_index();
   [[nodiscard]] std::vector<double> decode_chunk(
       std::size_t chunk_idx, std::span<const std::byte> stored) const;
   [[nodiscard]] std::shared_ptr<const std::vector<double>> load_tile(
       std::size_t gi, std::size_t gj) const;
-  [[nodiscard]] std::vector<double> read_slab_v3(const Slab2D& slab) const;
+  void read_v3_into(const Slab2D& slab, double* dst,
+                    std::size_t dst_stride) const;
   void maybe_prefetch(std::size_t gi_lo, std::size_t gi_hi, std::size_t gj_lo,
                       std::size_t gj_hi) const;
 };

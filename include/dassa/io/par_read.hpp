@@ -81,34 +81,49 @@ struct IoCostParams {
   }
 };
 
+/// Ghost rows a rank's read reserves around its owned channel rows.
+struct RowHalo {
+  std::size_t lo = 0;  ///< rows above the owned block
+  std::size_t hi = 0;  ///< rows below the owned block
+};
+
 /// One rank's share of a parallel read: its channel block over the full
-/// concatenated time range.
+/// concatenated time range, sized once with the ghost rows the caller
+/// asked for, so the block is the buffer the analysis runs on.
 struct ParallelReadResult {
   Range rows;        ///< [begin, end) channel rows owned by this rank
   Shape2D shape;     ///< rows.size() x total time samples
-  std::vector<double> data;  ///< row-major block
+  RowHalo halo;      ///< ghost rows stored around the owned rows
+  /// Row-major (halo.lo + rows.size() + halo.hi) x shape.cols block.
+  /// The owned rows start at row halo.lo; the read leaves the ghost
+  /// rows zero for the caller's halo stage to fill in place.
+  std::vector<double> data;
 };
 
 /// Fig. 5a: all ranks share each file; one aggregator read + one
 /// broadcast per file.
 [[nodiscard]] ParallelReadResult read_vca_collective_per_file(
-    mpi::Comm& comm, const Vca& vca, const IoCostParams& io = {});
+    mpi::Comm& comm, const Vca& vca, const IoCostParams& io = {},
+    RowHalo halo = {});
 
 /// Fig. 5b: round-robin independent whole-file reads + one all-to-all.
 [[nodiscard]] ParallelReadResult read_vca_comm_avoiding(
-    mpi::Comm& comm, const Vca& vca, const IoCostParams& io = {});
+    mpi::Comm& comm, const Vca& vca, const IoCostParams& io = {},
+    RowHalo halo = {});
 
 /// Reference: read a channel block straight out of a physically merged
 /// (RCA) DASH5 file.
 [[nodiscard]] ParallelReadResult read_rca_direct(mpi::Comm& comm,
                                                  const std::string& rca_path,
-                                                 const IoCostParams& io = {});
+                                                 const IoCostParams& io = {},
+                                                 RowHalo halo = {});
 
 /// The original-ArrayUDF access pattern (paper Sections IV-B and V-B):
 /// every rank reads its own channel block from every member file
 /// directly, with no communication -- O(p * n) I/O requests in total.
 /// This is the IOPS pressure HAEE's one-rank-per-node layout reduces.
 [[nodiscard]] ParallelReadResult read_vca_direct_per_rank(
-    mpi::Comm& comm, const Vca& vca, const IoCostParams& io = {});
+    mpi::Comm& comm, const Vca& vca, const IoCostParams& io = {},
+    RowHalo halo = {});
 
 }  // namespace dassa::io

@@ -82,12 +82,13 @@ class Vca final : public ArraySource {
   /// over member extents).
   [[nodiscard]] std::vector<VcaPiece> resolve(const Slab2D& slab) const;
 
-  /// Sequential read: resolve and read each piece from its member file.
+  /// Sequential read: resolve the selection and read each piece from
+  /// its member file straight into its column band of `dst`.
   /// Member handles are opened lazily on first use and kept for the
   /// VCA's lifetime, so repeated reads skip per-call header parsing
   /// and keep their decoded-chunk cache identity (v3 members).
-  [[nodiscard]] std::vector<double> read_slab(
-      const Slab2D& slab) const override;
+  void read_slab_into(const Slab2D& slab, double* dst,
+                      std::size_t dst_stride) const override;
 
  private:
   void finalize();  // compute shape_ and col_starts_ from members_

@@ -3,9 +3,9 @@
 //
 // MiniMPI is this reproduction's stand-in for MPI on a cluster (see
 // DESIGN.md, substitution table). Ranks are threads; each rank owns a
-// mailbox of typed, tagged messages, and every transfer copies its
-// payload through the mailbox, so ranks share nothing implicitly --
-// exactly the discipline MPI imposes. Collectives are implemented on
+// mailbox of typed, tagged messages. A message owns its payload and
+// hands it to exactly one receiver, so ranks share nothing implicitly
+// -- exactly the discipline MPI imposes. Collectives are implemented on
 // top of point-to-point with the textbook algorithms (binomial-tree
 // broadcast/reduce, dissemination barrier, pairwise all-to-all), so the
 // *message counts* the paper reasons about fall out of the
@@ -14,10 +14,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <functional>
+#include <memory>
 #include <span>
 #include <type_traits>
+#include <typeinfo>
 #include <vector>
 
 #include "dassa/common/error.hpp"
@@ -27,6 +28,53 @@ namespace dassa::mpi {
 
 namespace detail {
 class World;
+
+/// One message body: an owned std::vector<T> of trivially copyable
+/// elements. A send puts its vector in and the receiver moves it back
+/// out, so a payload is written once, by its sender. The shared_ptr
+/// only erases the element type; a payload has one owner at a time,
+/// the sender's and then the receiver's.
+class Payload {
+ public:
+  Payload() = default;
+
+  template <typename T>
+  explicit Payload(std::vector<T> v)
+      : size_bytes_(v.size() * sizeof(T)),
+        type_(&typeid(T)),
+        clone_(&clone_as<T>) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    owner_ = std::make_shared<std::vector<T>>(std::move(v));
+  }
+
+  [[nodiscard]] std::size_t size_bytes() const { return size_bytes_; }
+
+  /// A payload holding a copy of this one's elements (a broadcast
+  /// forwards one to each child).
+  [[nodiscard]] Payload clone() const {
+    DASSA_CHECK(clone_ != nullptr, "cloning an empty payload");
+    return clone_(owner_.get());
+  }
+
+  /// The body as the std::vector<T> it was sent as, moved out.
+  template <typename T>
+  [[nodiscard]] std::vector<T> take() && {
+    DASSA_CHECK(type_ != nullptr && *type_ == typeid(T),
+                "message received as another element type than it was sent");
+    return std::move(*static_cast<std::vector<T>*>(owner_.get()));
+  }
+
+ private:
+  template <typename T>
+  static Payload clone_as(const void* v) {
+    return Payload(*static_cast<const std::vector<T>*>(v));
+  }
+
+  std::shared_ptr<void> owner_;
+  std::size_t size_bytes_ = 0;
+  const std::type_info* type_ = nullptr;
+  Payload (*clone_)(const void*) = nullptr;
+};
 }  // namespace detail
 
 /// A communicator bound to one rank of a MiniMPI world. Obtained from
@@ -44,20 +92,18 @@ class Comm {
   /// copied into the destination mailbox (MPI_Bsend semantics).
   template <typename T>
   void send(std::span<const T> data, int dest, int tag) {
-    static_assert(std::is_trivially_copyable_v<T>);
     DASSA_CHECK(tag >= 0, "user message tags must be non-negative");
-    send_bytes(reinterpret_cast<const std::byte*>(data.data()),
-               data.size_bytes(), dest, tag);
+    post(detail::Payload(std::vector<T>(data.begin(), data.end())), dest,
+         tag);
   }
 
   /// Blocking receive of a typed buffer from `src` with `tag`. The
-  /// message length determines the result size.
+  /// message length determines the result size; the sent buffer is
+  /// moved out, not copied. `T` must be the element type it was sent as.
   template <typename T>
   [[nodiscard]] std::vector<T> recv(int src, int tag) {
-    static_assert(std::is_trivially_copyable_v<T>);
     DASSA_CHECK(tag >= 0, "user message tags must be non-negative");
-    const std::vector<std::byte> raw = recv_bytes(src, tag);
-    return bytes_to_vector<T>(raw);
+    return fetch(src, tag).template take<T>();
   }
 
   // ---- collectives ----------------------------------------------------
@@ -69,11 +115,10 @@ class Comm {
   /// On non-root ranks `data` is resized and overwritten.
   template <typename T>
   void bcast(std::vector<T>& data, int root) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::byte> raw;
-    if (rank_ == root) raw = vector_to_bytes(std::span<const T>(data));
-    bcast_bytes(raw, root);
-    if (rank_ != root) data = bytes_to_vector<T>(raw);
+    detail::Payload body;
+    if (rank_ == root) body = detail::Payload(std::move(data));
+    bcast_payload(body, root);
+    data = std::move(body).template take<T>();
   }
 
   /// Gather variable-length contributions to `root`. Returns the
@@ -81,12 +126,12 @@ class Comm {
   template <typename T>
   [[nodiscard]] std::vector<std::vector<T>> gatherv(std::span<const T> mine,
                                                     int root) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::vector<std::byte>> raw =
-        gatherv_bytes(vector_to_bytes(mine), root);
-    std::vector<std::vector<T>> out;
-    out.reserve(raw.size());
-    for (auto& r : raw) out.push_back(bytes_to_vector<T>(r));
+    std::vector<detail::Payload> got = gatherv_payloads(
+        detail::Payload(std::vector<T>(mine.begin(), mine.end())), root);
+    std::vector<std::vector<T>> out(got.size());
+    for (std::size_t r = 0; r < got.size(); ++r) {
+      out[r] = std::move(got[r]).template take<T>();
+    }
     return out;
   }
 
@@ -125,38 +170,43 @@ class Comm {
   template <typename T>
   [[nodiscard]] std::vector<T> scatter(std::span<const T> all,
                                        std::size_t per, int root) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::byte> raw_all;
+    std::vector<detail::Payload> parts;
     if (rank_ == root) {
       DASSA_CHECK(all.size() >= per * static_cast<std::size_t>(size()),
                   "scatter source too small");
-      raw_all = vector_to_bytes(all);
+      for (std::size_t r = 0; r < static_cast<std::size_t>(size()); ++r) {
+        const auto first = all.begin() + static_cast<std::ptrdiff_t>(r * per);
+        parts.emplace_back(
+            std::vector<T>(first, first + static_cast<std::ptrdiff_t>(per)));
+      }
     }
-    std::vector<std::byte> mine =
-        scatter_bytes(raw_all, per * sizeof(T), root);
-    return bytes_to_vector<T>(mine);
+    return scatter_payloads(std::move(parts), root).template take<T>();
   }
 
   /// Pairwise-exchange all-to-all with per-destination variable-length
   /// payloads: `per_dest[r]` is sent to rank r; returns the payloads
   /// received, indexed by source rank. This is the data-exchange step of
-  /// the communication-avoiding read (paper Fig. 5b).
+  /// the communication-avoiding read (paper Fig. 5b). Each buffer moves
+  /// to its receiver uncopied, and the caller's own block
+  /// (`per_dest[rank()]`) is handed straight back without entering the
+  /// exchange.
   template <typename T>
   [[nodiscard]] std::vector<std::vector<T>> alltoallv(
-      const std::vector<std::vector<T>>& per_dest) {
-    static_assert(std::is_trivially_copyable_v<T>);
+      std::vector<std::vector<T>> per_dest) {
     DASSA_CHECK(per_dest.size() == static_cast<std::size_t>(size()),
                 "alltoallv needs one payload per rank");
-    std::vector<std::vector<std::byte>> raw(per_dest.size());
+    const auto self = static_cast<std::size_t>(rank_);
+    std::vector<detail::Payload> out(per_dest.size());
     for (std::size_t r = 0; r < per_dest.size(); ++r) {
-      raw[r] = vector_to_bytes(std::span<const T>(per_dest[r]));
+      if (r != self) out[r] = detail::Payload(std::move(per_dest[r]));
     }
-    std::vector<std::vector<std::byte>> got = alltoallv_bytes(raw);
-    std::vector<std::vector<T>> out(got.size());
+    std::vector<detail::Payload> got = alltoallv_payloads(std::move(out));
+    std::vector<std::vector<T>> in(got.size());
     for (std::size_t r = 0; r < got.size(); ++r) {
-      out[r] = bytes_to_vector<T>(got[r]);
+      in[r] = r == self ? std::move(per_dest[r])
+                        : std::move(got[r]).template take<T>();
     }
-    return out;
+    return in;
   }
 
   /// Binomial-tree reduction of one value per rank to root, then (for
@@ -173,14 +223,14 @@ class Comm {
     for (int mask = 1; mask < p; mask <<= 1) {
       if ((rel & mask) != 0) {
         const int dst = ((rel - mask) + root) % p;
-        send_bytes(reinterpret_cast<const std::byte*>(&acc), sizeof(T), dst,
-                   kReduceTag);
+        post(detail::Payload(std::vector<T>{acc}), dst, kReduceTag);
         break;
       }
       const int src_rel = rel + mask;
       if (src_rel < p) {
         const int src = (src_rel + root) % p;
-        const std::vector<T> got = bytes_to_vector<T>(recv_bytes(src, kReduceTag));
+        const std::vector<T> got = fetch(src, kReduceTag).template take<T>();
+        DASSA_CHECK(got.size() == 1, "reduce expects one value per rank");
         acc = op(acc, got.front());
       }
     }
@@ -237,32 +287,20 @@ class Comm {
   static constexpr int kAlltoallTag = -5;
   static constexpr int kReduceTag = -6;
 
-  void send_bytes(const std::byte* data, std::size_t size, int dest,
-                  int tag);
-  [[nodiscard]] std::vector<std::byte> recv_bytes(int src, int tag);
-  void bcast_bytes(std::vector<std::byte>& data, int root);
-  [[nodiscard]] std::vector<std::vector<std::byte>> gatherv_bytes(
-      std::vector<std::byte> mine, int root);
-  [[nodiscard]] std::vector<std::byte> scatter_bytes(
-      const std::vector<std::byte>& all, std::size_t per_bytes, int root);
-  [[nodiscard]] std::vector<std::vector<std::byte>> alltoallv_bytes(
-      const std::vector<std::vector<std::byte>>& per_dest);
+  /// The one send and the one receive every operation goes through.
+  void post(detail::Payload body, int dest, int tag);
+  [[nodiscard]] detail::Payload fetch(int src, int tag);
 
-  template <typename T>
-  static std::vector<std::byte> vector_to_bytes(std::span<const T> v) {
-    std::vector<std::byte> raw(v.size_bytes());
-    if (!raw.empty()) std::memcpy(raw.data(), v.data(), raw.size());
-    return raw;
-  }
-
-  template <typename T>
-  static std::vector<T> bytes_to_vector(const std::vector<std::byte>& raw) {
-    DASSA_CHECK(raw.size() % sizeof(T) == 0,
-                "received payload size is not a multiple of element size");
-    std::vector<T> v(raw.size() / sizeof(T));
-    if (!v.empty()) std::memcpy(v.data(), raw.data(), raw.size());
-    return v;
-  }
+  /// Collective cores over payloads; see the typed wrappers above.
+  void bcast_payload(detail::Payload& body, int root);
+  [[nodiscard]] std::vector<detail::Payload> gatherv_payloads(
+      detail::Payload mine, int root);
+  [[nodiscard]] detail::Payload scatter_payloads(
+      std::vector<detail::Payload> parts, int root);
+  /// Pairwise exchange of `per_dest[r]` to every rank r != rank();
+  /// returns the received payloads by source (own slot empty).
+  [[nodiscard]] std::vector<detail::Payload> alltoallv_payloads(
+      std::vector<detail::Payload> per_dest);
 
   detail::World* world_;
   int world_rank_;          ///< this rank's id in the world

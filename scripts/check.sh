@@ -160,7 +160,10 @@ leg_asan() {
 
 leg_tsan() {
   # Concurrency-relevant subset: the pool, the FFT engine's shared plan
-  # cache, MiniMPI collectives, the HAEE row-apply stress tests, the
+  # cache, MiniMPI point-to-point and collectives (payloads move between
+  # rank threads), the parallel readers and the HAEE halo stage (rank
+  # blocks filled in place from received buffers), the HAEE row-apply
+  # stress tests, the
   # storage engine (parallel chunk codecs, sharded chunk cache,
   # prefetch, the multi-rank repack concatenator), the SIMD dispatch
   # layer, the span tracer (concurrent emission vs collection), the
@@ -174,7 +177,7 @@ leg_tsan() {
   cmake --preset tsan
   cmake --build --preset tsan -j "${JOBS}"
   ctest --preset tsan -j "${JOBS}" \
-    -R 'ThreadPool|Fft|MiniMpi|HaeeStress|HaeeMode|Apply|Codec|ChunkCache|Dash5V3|Trace|Telemetry|Repack|Simd|Ingest|Serve|Stats|MetricsDiff|LocalSimilarity|SimilarityOracle'
+    -R 'ThreadPool|Fft|P2pTest|CollectiveTest|InstrumentationTest|MpiStressTest|SplitTest|RuntimeTest|ParRead|BuildLocalBlock|GhostRows|HaeeTest|HaeeStress|HaeeMode|Apply|Codec|ChunkCache|Dash5V3|Trace|Telemetry|Repack|Simd|Ingest|Serve|Stats|MetricsDiff|LocalSimilarity|SimilarityOracle'
 }
 
 leg_telemetry() {

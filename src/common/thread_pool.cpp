@@ -1,6 +1,5 @@
 #include "dassa/common/thread_pool.hpp"
 
-#include <atomic>
 #include <exception>
 
 #include "dassa/common/shape.hpp"
@@ -69,11 +68,14 @@ void ThreadPool::parallel_for(
   DASSA_CHECK(body != nullptr, "parallel_for needs a callable body");
   if (n == 0) return;
   const std::size_t chunks = size();
-  std::atomic<std::size_t> remaining{chunks};
   std::exception_ptr first_error;
   Mutex error_mu;
   CondVar done_cv;
   Mutex done_mu;
+  // Guarded by done_mu, and counted down under it: the caller may
+  // return, and this frame die, as soon as it sees zero, so the last
+  // worker must signal before it releases the lock, never after.
+  std::size_t remaining = chunks;
 
   for (std::size_t t = 0; t < chunks; ++t) {
     submit([&, t] {
@@ -84,14 +86,12 @@ void ThreadPool::parallel_for(
         MutexLock lock(error_mu);
         if (!first_error) first_error = std::current_exception();
       }
-      if (remaining.fetch_sub(1) == 1) {
-        MutexLock lock(done_mu);
-        done_cv.notify_all();
-      }
+      MutexLock lock(done_mu);
+      if (--remaining == 0) done_cv.notify_all();
     });
   }
   MutexLock lock(done_mu);
-  while (remaining.load() != 0) done_cv.wait(lock);
+  while (remaining != 0) done_cv.wait(lock);
   if (first_error) std::rethrow_exception(first_error);
 }
 

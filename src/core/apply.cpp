@@ -31,8 +31,7 @@ void validate(const LocalBlock& block) {
               "owned range exceeds local block");
 }
 
-Array2D rows_from_results(const LocalBlock& block,
-                          std::vector<std::vector<double>>& results) {
+Array2D rows_from_results(std::vector<std::vector<double>>& results) {
   const std::size_t rows = results.size();
   const std::size_t out_cols = rows == 0 ? 0 : results.front().size();
   Array2D out(Shape2D{rows, out_cols});
@@ -42,7 +41,6 @@ Array2D rows_from_results(const LocalBlock& block,
     std::copy(results[r].begin(), results[r].end(),
               out.data.begin() + static_cast<std::ptrdiff_t>(r * out_cols));
   }
-  (void)block;
   return out;
 }
 
@@ -208,7 +206,7 @@ Array2D apply_rows_serial(const LocalBlock& block, const RowUdf& udf) {
     results[r] = udf(row_stencil(block, r));
   }
   charge_rows(results.size());
-  return rows_from_results(block, results);
+  return rows_from_results(results);
 }
 
 Array2D apply_rows_mt(const LocalBlock& block, const RowUdf& udf,
@@ -223,7 +221,7 @@ Array2D apply_rows_mt(const LocalBlock& block, const RowUdf& udf,
     }
     charge_rows(end - begin);
   });
-  return rows_from_results(block, results);
+  return rows_from_results(results);
 }
 
 Array2D apply_rows_omp(const LocalBlock& block, const RowUdf& udf,
@@ -238,7 +236,7 @@ Array2D apply_rows_omp(const LocalBlock& block, const RowUdf& udf,
         udf(row_stencil(block, static_cast<std::size_t>(r)));
   }
   charge_rows(results.size());
-  return rows_from_results(block, results);
+  return rows_from_results(results);
 }
 
 }  // namespace dassa::core

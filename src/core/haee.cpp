@@ -13,16 +13,36 @@ constexpr int kHaloUpTag = 9001;    // my top rows -> previous rank
 constexpr int kHaloDownTag = 9002;  // my bottom rows -> next rank
 
 io::ParallelReadResult read_block(mpi::Comm& comm, const io::Vca& vca,
-                                  const EngineConfig& config) {
+                                  const EngineConfig& config,
+                                  io::RowHalo halo) {
   switch (config.read_method) {
     case ReadMethod::kCollectivePerFile:
-      return io::read_vca_collective_per_file(comm, vca, config.io_cost);
+      return io::read_vca_collective_per_file(comm, vca, config.io_cost,
+                                              halo);
     case ReadMethod::kCommunicationAvoiding:
-      return io::read_vca_comm_avoiding(comm, vca, config.io_cost);
+      return io::read_vca_comm_avoiding(comm, vca, config.io_cost, halo);
     case ReadMethod::kDirectPerRank:
-      return io::read_vca_direct_per_rank(comm, vca, config.io_cost);
+      return io::read_vca_direct_per_rank(comm, vca, config.io_cost, halo);
   }
   throw InvalidArgument("unknown read method");
+}
+
+/// The read result as the rank's block: same buffer, owned rows at
+/// local row halo.lo.
+LocalBlock adopt_read(io::ParallelReadResult&& read, Shape2D global) {
+  LocalBlock block;
+  block.block_shape = {read.halo.lo + read.rows.size() + read.halo.hi,
+                       read.shape.cols};
+  DASSA_CHECK(read.data.size() == block.block_shape.size(),
+              "read result does not hold its ghost rows");
+  DASSA_CHECK(read.halo.lo <= read.rows.begin,
+              "ghost rows above the first channel");
+  block.global_row0 = read.rows.begin - read.halo.lo;
+  block.owned_local =
+      Range{read.halo.lo, read.halo.lo + read.rows.size()};
+  block.global_shape = global;
+  block.data = std::move(read.data);
+  return block;
 }
 
 /// Gather per-rank output rows onto rank 0 in rank order.
@@ -71,14 +91,15 @@ EngineReport run_engine(
         {
           StageScope scope(stages, "read");
           DASSA_TRACE_SPAN("haee", "haee.read");
-          const io::ParallelReadResult read = read_block(comm, vca, config);
-          read_bytes = read.data.size() * sizeof(double);
+          const io::RowHalo halo =
+              ghost_rows(config.halo_mode, global, comm.size(), comm.rank(),
+                         config.halo_channels);
+          io::ParallelReadResult read = read_block(comm, vca, config, halo);
+          read_bytes = read.shape.size() * sizeof(double);
           block = config.halo_mode == HaloMode::kExchange
-                      ? build_local_block(comm, read, global,
-                                          config.halo_channels)
-                      : build_local_block_overlap(comm, vca, read, global,
-                                                  config.halo_channels,
-                                                  config.io_cost);
+                      ? build_local_block(comm, std::move(read), global)
+                      : build_local_block_overlap(comm, vca, std::move(read),
+                                                  global, config.io_cost);
         }
 
         Array2D mine;
@@ -177,107 +198,88 @@ EngineReport run_engine(
 
 }  // namespace
 
-LocalBlock build_local_block(mpi::Comm& comm,
-                             const io::ParallelReadResult& read,
-                             Shape2D global, std::size_t halo) {
+io::RowHalo ghost_rows(HaloMode mode, Shape2D global, int p, int rank,
+                       std::size_t halo) {
+  DASSA_CHECK(p > 0 && rank >= 0 && rank < p, "rank outside the world");
+  if (mode == HaloMode::kOverlapRead) {
+    const Range rows = even_chunk(global.rows, static_cast<std::size_t>(p),
+                                  static_cast<std::size_t>(rank));
+    return {std::min(halo, rows.begin),
+            std::min(halo, global.rows - rows.end)};
+  }
+  if (halo == 0 || p == 1) return {};
+  DASSA_CHECK(halo <= global.rows / static_cast<std::size_t>(p),
+              "ghost zone wider than the smallest channel partition");
+  return {rank > 0 ? halo : 0, rank < p - 1 ? halo : 0};
+}
+
+LocalBlock build_local_block(mpi::Comm& comm, io::ParallelReadResult read,
+                             Shape2D global) {
   DASSA_TRACE_SPAN("haee", "haee.ghost_exchange");
   const int p = comm.size();
   const int rank = comm.rank();
-  const std::size_t cols = read.shape.cols;
+  const io::RowHalo halo = read.halo;
+  LocalBlock block = adopt_read(std::move(read), global);
+  const std::size_t cols = block.block_shape.cols;
+  const Range owned = block.owned_local;
+  DASSA_CHECK((halo.lo == 0 || rank > 0) && (halo.hi == 0 || rank < p - 1),
+              "ghost rows on a side with no neighbour rank");
+  DASSA_CHECK(halo.lo <= owned.size() && halo.hi <= owned.size(),
+              "ghost zone wider than the rank's own rows");
+  if (halo.lo == 0 && halo.hi == 0) return block;
+  global_counters().add(counters::kHaeeHaloExchanges,
+                        (halo.lo > 0 ? 1u : 0u) + (halo.hi > 0 ? 1u : 0u));
 
-  std::size_t halo_lo = 0;
-  std::size_t halo_hi = 0;
-  if (halo > 0 && p > 1) {
-    DASSA_CHECK(halo <= global.rows / static_cast<std::size_t>(p),
-                "ghost zone wider than the smallest channel partition");
-    halo_lo = (rank > 0) ? halo : 0;
-    halo_hi = (rank < p - 1) ? halo : 0;
-    global_counters().add(counters::kHaeeHaloExchanges,
-                          (rank > 0 ? 1u : 0u) + (rank < p - 1 ? 1u : 0u));
-
-    // Buffered sends first, then receives: deadlock-free point-to-point
-    // ghost-zone exchange with both neighbours.
-    if (rank > 0) {
-      comm.send(std::span<const double>(read.data.data(), halo * cols),
-                rank - 1, kHaloUpTag);
-    }
-    if (rank < p - 1) {
-      comm.send(std::span<const double>(
-                    read.data.data() + (read.rows.size() - halo) * cols,
-                    halo * cols),
-                rank + 1, kHaloDownTag);
-    }
+  // Buffered sends of my boundary rows first, then receives straight
+  // into my ghost rows: a deadlock-free point-to-point exchange with
+  // both neighbours. The zone is symmetric, so the rows I owe a
+  // neighbour are as many as the ghost rows I take from it.
+  double* const data = block.data.data();
+  if (halo.lo > 0) {
+    comm.send(std::span<const double>(data + owned.begin * cols,
+                                      halo.lo * cols),
+              rank - 1, kHaloUpTag);
   }
-
-  LocalBlock block;
-  block.block_shape = {halo_lo + read.rows.size() + halo_hi, cols};
-  block.global_row0 = read.rows.begin - halo_lo;
-  block.owned_local = Range{halo_lo, halo_lo + read.rows.size()};
-  block.global_shape = global;
-  block.data.resize(block.block_shape.size());
-
-  if (halo_lo > 0) {
-    const std::vector<double> top = comm.recv<double>(rank - 1, kHaloDownTag);
-    DASSA_CHECK(top.size() == halo_lo * cols, "halo size mismatch (top)");
-    std::copy(top.begin(), top.end(), block.data.begin());
+  if (halo.hi > 0) {
+    comm.send(std::span<const double>(data + (owned.end - halo.hi) * cols,
+                                      halo.hi * cols),
+              rank + 1, kHaloDownTag);
   }
-  std::copy(read.data.begin(), read.data.end(),
-            block.data.begin() + static_cast<std::ptrdiff_t>(halo_lo * cols));
-  if (halo_hi > 0) {
-    const std::vector<double> bottom =
-        comm.recv<double>(rank + 1, kHaloUpTag);
-    DASSA_CHECK(bottom.size() == halo_hi * cols,
-                "halo size mismatch (bottom)");
-    std::copy(bottom.begin(), bottom.end(),
-              block.data.begin() +
-                  static_cast<std::ptrdiff_t>(
-                      (halo_lo + read.rows.size()) * cols));
-  }
+  const auto receive = [&](int src, int tag, std::size_t row0,
+                           std::size_t n) {
+    const std::vector<double> rows = comm.recv<double>(src, tag);
+    DASSA_CHECK(rows.size() == n * cols, "halo size mismatch");
+    std::copy(rows.begin(), rows.end(), data + row0 * cols);
+  };
+  if (halo.lo > 0) receive(rank - 1, kHaloDownTag, 0, halo.lo);
+  if (halo.hi > 0) receive(rank + 1, kHaloUpTag, owned.end, halo.hi);
   return block;
 }
 
 LocalBlock build_local_block_overlap(mpi::Comm& comm, const io::Vca& vca,
-                                     const io::ParallelReadResult& read,
-                                     Shape2D global, std::size_t halo,
+                                     io::ParallelReadResult read,
+                                     Shape2D global,
                                      const io::IoCostParams& io) {
   DASSA_TRACE_SPAN("haee", "haee.ghost_overlap_read");
-  const std::size_t cols = read.shape.cols;
-  const std::size_t halo_lo = std::min(halo, read.rows.begin);
-  const std::size_t halo_hi =
-      std::min(halo, global.rows - read.rows.end);
+  LocalBlock block = adopt_read(std::move(read), global);
+  const std::size_t cols = block.block_shape.cols;
+  const Range owned = block.owned_local;
 
-  LocalBlock block;
-  block.block_shape = {halo_lo + read.rows.size() + halo_hi, cols};
-  block.global_row0 = read.rows.begin - halo_lo;
-  block.owned_local = Range{halo_lo, halo_lo + read.rows.size()};
-  block.global_shape = global;
-  block.data.resize(block.block_shape.size());
-
-  // Model charge: one storage request per (halo read x member piece),
-  // all ranks hitting the files concurrently.
-  const auto charge = [&](const Slab2D& slab) {
+  // Read ghost rows [row0, row0 + n) of the block from the VCA in place.
+  // Model charge: one storage request per member piece, all ranks
+  // hitting the files concurrently.
+  const auto read_ghosts = [&](std::size_t row0, std::size_t n) {
+    const Slab2D slab{block.global_row0 + row0, 0, n, cols};
     global_counters().add(counters::kHaeeHaloOverlapReads);
     for (const io::VcaPiece& piece : vca.resolve(slab)) {
       comm.charge_modeled_seconds(io.shared_call_cost(
           piece.slab.size() * sizeof(double), comm.size()));
     }
+    vca.read_slab_into(slab, block.data.data() + row0 * cols, cols);
   };
-  if (halo_lo > 0) {
-    const Slab2D slab{block.global_row0, 0, halo_lo, cols};
-    charge(slab);
-    const std::vector<double> top = vca.read_slab(slab);
-    std::copy(top.begin(), top.end(), block.data.begin());
-  }
-  std::copy(read.data.begin(), read.data.end(),
-            block.data.begin() + static_cast<std::ptrdiff_t>(halo_lo * cols));
-  if (halo_hi > 0) {
-    const Slab2D slab{read.rows.end, 0, halo_hi, cols};
-    charge(slab);
-    const std::vector<double> bottom = vca.read_slab(slab);
-    std::copy(bottom.begin(), bottom.end(),
-              block.data.begin() +
-                  static_cast<std::ptrdiff_t>(
-                      (halo_lo + read.rows.size()) * cols));
+  if (owned.begin > 0) read_ghosts(0, owned.begin);
+  if (owned.end < block.block_shape.rows) {
+    read_ghosts(owned.end, block.block_shape.rows - owned.end);
   }
   return block;
 }

@@ -176,6 +176,55 @@ std::pair<std::size_t, std::size_t> chunk_grid(const Dash5Header& h) {
           (h.shape.cols + h.chunk.cols - 1) / h.chunk.cols};
 }
 
+/// Widen `count` stored elements of `dtype` at `raw` into doubles. f32
+/// widens straight from the stored bytes: memcpy per element is the
+/// defined way to read a float at an arbitrary byte offset.
+void decode_elems(DType dtype, const std::byte* raw, std::size_t count,
+                  double* out) {
+  if (dtype == DType::kF64) {
+    std::memcpy(out, raw, count * sizeof(double));
+    return;
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    float f = 0.0F;
+    std::memcpy(&f, raw + i * sizeof(float), sizeof(float));
+    out[i] = f;
+  }
+}
+
+/// Inclusive chunk-grid bounds of the tiles a non-empty selection
+/// touches.
+struct TileSpan {
+  std::size_t gi_lo, gi_hi, gj_lo, gj_hi;
+};
+
+TileSpan tile_span(ChunkShape chunk, const Slab2D& slab) {
+  return {slab.row_off / chunk.rows,
+          (slab.row_off + slab.row_cnt - 1) / chunk.rows,
+          slab.col_off / chunk.cols,
+          (slab.col_off + slab.col_cnt - 1) / chunk.cols};
+}
+
+/// Copy the part of decoded tile (gi, gj) inside `slab` to its place in
+/// `dst` (row r of the selection at dst + r * dst_stride) -- the one
+/// tile-intersection copy of the v2 chunked and v3 read paths.
+void copy_tile_part(const double* tile, ChunkShape chunk, std::size_t gi,
+                    std::size_t gj, const Slab2D& slab, double* dst,
+                    std::size_t dst_stride) {
+  const std::size_t r_lo = std::max(slab.row_off, gi * chunk.rows);
+  const std::size_t r_hi =
+      std::min(slab.row_off + slab.row_cnt, (gi + 1) * chunk.rows);
+  const std::size_t c_lo = std::max(slab.col_off, gj * chunk.cols);
+  const std::size_t c_hi =
+      std::min(slab.col_off + slab.col_cnt, (gj + 1) * chunk.cols);
+  for (std::size_t r = r_lo; r < r_hi; ++r) {
+    const double* src =
+        tile + (r - gi * chunk.rows) * chunk.cols + (c_lo - gj * chunk.cols);
+    std::copy(src, src + (c_hi - c_lo),
+              dst + (r - slab.row_off) * dst_stride + (c_lo - slab.col_off));
+  }
+}
+
 void write_elements(OutputFile& out, const Dash5Header& header,
                     std::span<const double> data) {
   if (header.dtype == DType::kF64) {
@@ -655,12 +704,12 @@ std::vector<double> Dash5File::decode_chunk(
   const std::size_t chunk_elems = header_.chunk.rows * header_.chunk.cols;
   std::vector<double> tile(chunk_elems);
   if (e.codec == 0) {
-    decode_elems({stored.begin(), stored.end()}, chunk_elems, tile.data());
+    decode_elems(header_.dtype, stored.data(), chunk_elems, tile.data());
   } else {
     const std::vector<std::byte> raw =
         decode_chain(header_.codec, stored, dtype_size(header_.dtype),
                      static_cast<std::size_t>(e.raw_size));
-    decode_elems(raw, chunk_elems, tile.data());
+    decode_elems(header_.dtype, raw.data(), chunk_elems, tile.data());
   }
   return tile;
 }
@@ -689,47 +738,30 @@ Dash5Header Dash5File::read_header(const std::string& path) {
   return f.header_;
 }
 
-void Dash5File::decode_elems(const std::vector<std::byte>& raw,
-                             std::size_t count, double* out) const {
-  if (header_.dtype == DType::kF64) {
-    std::memcpy(out, raw.data(), count * sizeof(double));
-  } else {
-    std::vector<float> f(count);
-    std::memcpy(f.data(), raw.data(), count * sizeof(float));
-    for (std::size_t i = 0; i < count; ++i) out[i] = f[i];
-  }
-}
-
-std::vector<double> Dash5File::read_all() const {
-  return read_slab(Slab2D::whole(header_.shape));
-}
-
-std::vector<double> Dash5File::read_slab(const Slab2D& slab) const {
+void Dash5File::read_slab_into(const Slab2D& slab, double* dst,
+                               std::size_t dst_stride) const {
   DASSA_TRACE_SPAN("io", "io.read_slab");
   slab.validate_against(header_.shape);
+  DASSA_CHECK(dst_stride >= slab.col_cnt,
+              "destination stride narrower than the selection");
+  if (slab.empty()) return;
+  if (version_ >= 3) {
+    read_v3_into(slab, dst, dst_stride);
+    return;
+  }
+
   const std::size_t esize = dtype_size(header_.dtype);
-  std::vector<double> out(slab.size());
-  if (slab.empty()) return out;
-
-  if (version_ >= 3) return read_slab_v3(slab);
-
   if (header_.layout == Layout::kChunked) {
     // One contiguous read per intersecting chunk tile, then copy the
     // intersection out -- the HDF5 chunked-access pattern. Partial-width
     // selections touch O(selection/chunk) tiles instead of one request
     // per row.
-    const ChunkShape chunk = header_.chunk;
-    const std::size_t grid_cols =
-        (header_.shape.cols + chunk.cols - 1) / chunk.cols;
-    const std::size_t chunk_elems = chunk.rows * chunk.cols;
+    const auto [grid_rows, grid_cols] = chunk_grid(header_);
+    const std::size_t chunk_elems = header_.chunk.rows * header_.chunk.cols;
     std::vector<double> tile(chunk_elems);
-
-    const std::size_t gi_lo = slab.row_off / chunk.rows;
-    const std::size_t gi_hi = (slab.row_off + slab.row_cnt - 1) / chunk.rows;
-    const std::size_t gj_lo = slab.col_off / chunk.cols;
-    const std::size_t gj_hi = (slab.col_off + slab.col_cnt - 1) / chunk.cols;
-    for (std::size_t gi = gi_lo; gi <= gi_hi; ++gi) {
-      for (std::size_t gj = gj_lo; gj <= gj_hi; ++gj) {
+    const TileSpan span = tile_span(header_.chunk, slab);
+    for (std::size_t gi = span.gi_lo; gi <= span.gi_hi; ++gi) {
+      for (std::size_t gj = span.gj_lo; gj <= span.gj_hi; ++gj) {
         const std::uint64_t off =
             data_offset_ +
             static_cast<std::uint64_t>(gi * grid_cols + gj) * chunk_elems *
@@ -739,27 +771,12 @@ std::vector<double> Dash5File::read_slab(const Slab2D& slab) const {
           MutexLock lock(io_mu_);
           raw = file_.read_vec(off, chunk_elems * esize);
         }
-        decode_elems(raw, chunk_elems, tile.data());
-
-        // Intersection of this tile with the selection, in global
-        // coordinates.
-        const std::size_t r_lo = std::max(slab.row_off, gi * chunk.rows);
-        const std::size_t r_hi = std::min(slab.row_off + slab.row_cnt,
-                                          (gi + 1) * chunk.rows);
-        const std::size_t c_lo = std::max(slab.col_off, gj * chunk.cols);
-        const std::size_t c_hi = std::min(slab.col_off + slab.col_cnt,
-                                          (gj + 1) * chunk.cols);
-        for (std::size_t r = r_lo; r < r_hi; ++r) {
-          const double* src = tile.data() +
-                              (r - gi * chunk.rows) * chunk.cols +
-                              (c_lo - gj * chunk.cols);
-          std::copy(src, src + (c_hi - c_lo),
-                    out.data() + (r - slab.row_off) * slab.col_cnt +
-                        (c_lo - slab.col_off));
-        }
+        decode_elems(header_.dtype, raw.data(), chunk_elems, tile.data());
+        copy_tile_part(tile.data(), header_.chunk, gi, gj, slab, dst,
+                       dst_stride);
       }
     }
-    return out;
+    return;
   }
 
   if (slab.col_cnt == header_.shape.cols) {
@@ -772,7 +789,10 @@ std::vector<double> Dash5File::read_slab(const Slab2D& slab) const {
       MutexLock lock(io_mu_);
       raw = file_.read_vec(off, slab.size() * esize);
     }
-    decode_elems(raw, slab.size(), out.data());
+    for (std::size_t r = 0; r < slab.row_cnt; ++r) {
+      decode_elems(header_.dtype, raw.data() + r * slab.col_cnt * esize,
+                   slab.col_cnt, dst + r * dst_stride);
+    }
   } else {
     // Partial width: one read per selected row. This is the small-I/O
     // pattern whose amplification across many files motivates the
@@ -787,21 +807,17 @@ std::vector<double> Dash5File::read_slab(const Slab2D& slab) const {
         MutexLock lock(io_mu_);
         raw = file_.read_vec(off, slab.col_cnt * esize);
       }
-      decode_elems(raw, slab.col_cnt, out.data() + r * slab.col_cnt);
+      decode_elems(header_.dtype, raw.data(), slab.col_cnt,
+                   dst + r * dst_stride);
     }
   }
-  return out;
 }
 
-std::vector<double> Dash5File::read_slab_v3(const Slab2D& slab) const {
+void Dash5File::read_v3_into(const Slab2D& slab, double* dst,
+                             std::size_t dst_stride) const {
   DASSA_TRACE_SPAN("cache", "cache.window_gather");
-  const ChunkShape chunk = header_.chunk;
-  std::vector<double> out(slab.size());
-
-  const std::size_t gi_lo = slab.row_off / chunk.rows;
-  const std::size_t gi_hi = (slab.row_off + slab.row_cnt - 1) / chunk.rows;
-  const std::size_t gj_lo = slab.col_off / chunk.cols;
-  const std::size_t gj_hi = (slab.col_off + slab.col_cnt - 1) / chunk.cols;
+  DASSA_CHECK(!slab.empty(), "a window gather needs a non-empty selection");
+  const auto [gi_lo, gi_hi, gj_lo, gj_hi] = tile_span(header_.chunk, slab);
 
   // Gather the window's tiles: cache hits immediately, misses as a
   // batch — stored bytes are read serially (one I/O pass), then
@@ -852,25 +868,11 @@ std::vector<double> Dash5File::read_slab_v3(const Slab2D& slab) const {
   }
 
   for (const Want& w : wants) {
-    // Intersection of this tile with the selection, in global
-    // coordinates (same arithmetic as the v2 chunked path).
-    const std::size_t r_lo = std::max(slab.row_off, w.gi * chunk.rows);
-    const std::size_t r_hi =
-        std::min(slab.row_off + slab.row_cnt, (w.gi + 1) * chunk.rows);
-    const std::size_t c_lo = std::max(slab.col_off, w.gj * chunk.cols);
-    const std::size_t c_hi =
-        std::min(slab.col_off + slab.col_cnt, (w.gj + 1) * chunk.cols);
-    for (std::size_t r = r_lo; r < r_hi; ++r) {
-      const double* src = w.tile->data() + (r - w.gi * chunk.rows) * chunk.cols +
-                          (c_lo - w.gj * chunk.cols);
-      std::copy(src, src + (c_hi - c_lo),
-                out.data() + (r - slab.row_off) * slab.col_cnt +
-                    (c_lo - slab.col_off));
-    }
+    copy_tile_part(w.tile->data(), header_.chunk, w.gi, w.gj, slab, dst,
+                   dst_stride);
   }
 
   maybe_prefetch(gi_lo, gi_hi, gj_lo, gj_hi);
-  return out;
 }
 
 void Dash5File::maybe_prefetch(std::size_t gi_lo, std::size_t gi_hi,

@@ -20,23 +20,48 @@ void place_block(const double* src, std::size_t src_rows,
   }
 }
 
+/// The rank's result, sized once: owned rows `rows` of a `cols`-wide
+/// array plus `halo` ghost rows, all zero.
+ParallelReadResult make_result(Range rows, std::size_t cols, RowHalo halo) {
+  ParallelReadResult result;
+  result.rows = rows;
+  result.shape = {rows.size(), cols};
+  result.halo = halo;
+  result.data.assign((halo.lo + rows.size() + halo.hi) * cols, 0.0);
+  return result;
+}
+
+/// Ghost rows must be channels of the array: none above row 0 or below
+/// the last row.
+void check_halo(Range rows, std::size_t total_rows, RowHalo halo) {
+  DASSA_CHECK(halo.lo <= rows.begin && halo.hi <= total_rows - rows.end,
+              "ghost rows reach outside the array");
+}
+
+/// First owned element of `result`.
+double* owned_data(ParallelReadResult& result) {
+  return result.data.data() + result.halo.lo * result.shape.cols;
+}
+
+Range rank_rows(const mpi::Comm& comm, std::size_t total_rows, int rank) {
+  return even_chunk(total_rows, static_cast<std::size_t>(comm.size()),
+                    static_cast<std::size_t>(rank));
+}
+
 }  // namespace
 
 ParallelReadResult read_vca_collective_per_file(mpi::Comm& comm,
                                                 const Vca& vca,
-                                                const IoCostParams& io) {
+                                                const IoCostParams& io,
+                                                RowHalo halo) {
   DASSA_TRACE_SPAN("par_read", "par_read.collective_per_file");
   const int p = comm.size();
   const int rank = comm.rank();
   const Shape2D total = vca.shape();
-  const Range rows =
-      even_chunk(total.rows, static_cast<std::size_t>(p),
-                 static_cast<std::size_t>(rank));
-
-  ParallelReadResult result;
-  result.rows = rows;
-  result.shape = {rows.size(), total.cols};
-  result.data.assign(result.shape.size(), 0.0);
+  const Range rows = rank_rows(comm, total.rows, rank);
+  check_halo(rows, total.rows, halo);
+  ParallelReadResult result = make_result(rows, total.cols, halo);
+  double* const mine = owned_data(result);
 
   const auto& members = vca.members();
   for (std::size_t m = 0; m < members.size(); ++m) {
@@ -59,29 +84,41 @@ ParallelReadResult read_vca_collective_per_file(mpi::Comm& comm,
     // Every rank keeps only its own channel block of the file.
     const std::size_t cols = members[m].shape.cols;
     place_block(file_data.data() + rows.begin * cols, rows.size(), cols,
-                result.data.data(), total.cols, vca.member_col_start(m));
+                mine, total.cols, vca.member_col_start(m));
   }
   return result;
 }
 
 ParallelReadResult read_vca_comm_avoiding(mpi::Comm& comm, const Vca& vca,
-                                          const IoCostParams& io) {
+                                          const IoCostParams& io,
+                                          RowHalo halo) {
   DASSA_TRACE_SPAN("par_read", "par_read.comm_avoiding");
   const int p = comm.size();
   const int rank = comm.rank();
   const Shape2D total = vca.shape();
   const auto& members = vca.members();
   const std::size_t n = members.size();
-
-  auto rank_rows = [&](int q) {
-    return even_chunk(total.rows, static_cast<std::size_t>(p),
-                      static_cast<std::size_t>(q));
-  };
-  const Range rows = rank_rows(rank);
+  const Range rows = rank_rows(comm, total.rows, rank);
+  check_halo(rows, total.rows, halo);
+  ParallelReadResult result = make_result(rows, total.cols, halo);
+  double* const mine = owned_data(result);
 
   // Phase 1: read my round-robin share of files, whole-file contiguous
-  // reads, and carve each file into per-destination channel blocks.
+  // reads. My own channel block goes straight into the result; the
+  // other ranks' blocks are carved into one buffer per destination,
+  // sized up front so it is written once.
+  std::size_t my_cols = 0;
+  for (std::size_t m = static_cast<std::size_t>(rank); m < n;
+       m += static_cast<std::size_t>(p)) {
+    my_cols += members[m].shape.cols;
+  }
   std::vector<std::vector<double>> per_dest(static_cast<std::size_t>(p));
+  for (int q = 0; q < p; ++q) {
+    if (q != rank) {
+      per_dest[static_cast<std::size_t>(q)].reserve(
+          rank_rows(comm, total.rows, q).size() * my_cols);
+    }
+  }
   for (std::size_t m = static_cast<std::size_t>(rank); m < n;
        m += static_cast<std::size_t>(p)) {
     DASSA_TRACE_SPAN("par_read", "par_read.local_read");
@@ -90,39 +127,41 @@ ParallelReadResult read_vca_comm_avoiding(mpi::Comm& comm, const Vca& vca,
     comm.charge_modeled_seconds(
         io.call_cost(data.size() * sizeof(double), comm.size()));
     const std::size_t cols = members[m].shape.cols;
+    place_block(data.data() + rows.begin * cols, rows.size(), cols, mine,
+                total.cols, vca.member_col_start(m));
     for (int q = 0; q < p; ++q) {
-      const Range qr = rank_rows(q);
+      if (q == rank) continue;
+      const Range qr = rank_rows(comm, total.rows, q);
       auto& payload = per_dest[static_cast<std::size_t>(q)];
-      payload.insert(payload.end(), data.begin() + static_cast<std::ptrdiff_t>(
-                                                       qr.begin * cols),
+      payload.insert(payload.end(),
+                     data.begin() + static_cast<std::ptrdiff_t>(qr.begin * cols),
                      data.begin() + static_cast<std::ptrdiff_t>(qr.end * cols));
     }
   }
 
-  // Phase 2: one all-to-all routes every block to its owner.
+  // Phase 2: one all-to-all routes every remote block to its owner.
   std::vector<std::vector<double>> received;
   {
     DASSA_TRACE_SPAN("par_read", "par_read.exchange");
-    received = comm.alltoallv(per_dest);
+    received = comm.alltoallv(std::move(per_dest));
   }
 
   // Phase 3: assemble. The round-robin assignment is deterministic, so
   // rank r's payload is the concatenation of my channel block of files
   // r, r+p, r+2p, ... in that order.
   DASSA_TRACE_SPAN("par_read", "par_read.assemble");
-  ParallelReadResult result;
-  result.rows = rows;
-  result.shape = {rows.size(), total.cols};
-  result.data.assign(result.shape.size(), 0.0);
   for (int src = 0; src < p; ++src) {
+    if (src == rank) continue;
     const std::vector<double>& payload =
         received[static_cast<std::size_t>(src)];
     std::size_t off = 0;
     for (std::size_t m = static_cast<std::size_t>(src); m < n;
          m += static_cast<std::size_t>(p)) {
       const std::size_t cols = members[m].shape.cols;
-      place_block(payload.data() + off, rows.size(), cols,
-                  result.data.data(), total.cols, vca.member_col_start(m));
+      DASSA_CHECK(payload.size() - off >= rows.size() * cols,
+                  "communication-avoiding payload size mismatch");
+      place_block(payload.data() + off, rows.size(), cols, mine, total.cols,
+                  vca.member_col_start(m));
       off += rows.size() * cols;
     }
     DASSA_CHECK(off == payload.size(),
@@ -132,55 +171,44 @@ ParallelReadResult read_vca_comm_avoiding(mpi::Comm& comm, const Vca& vca,
 }
 
 ParallelReadResult read_vca_direct_per_rank(mpi::Comm& comm, const Vca& vca,
-                                            const IoCostParams& io) {
+                                            const IoCostParams& io,
+                                            RowHalo halo) {
   DASSA_TRACE_SPAN("par_read", "par_read.direct_per_rank");
   const int p = comm.size();
-  const int rank = comm.rank();
   const Shape2D total = vca.shape();
-  const Range rows =
-      even_chunk(total.rows, static_cast<std::size_t>(p),
-                 static_cast<std::size_t>(rank));
-
-  ParallelReadResult result;
-  result.rows = rows;
-  result.shape = {rows.size(), total.cols};
-  result.data.assign(result.shape.size(), 0.0);
+  const Range rows = rank_rows(comm, total.rows, comm.rank());
+  check_halo(rows, total.rows, halo);
+  ParallelReadResult result = make_result(rows, total.cols, halo);
+  double* const mine = owned_data(result);
 
   const auto& members = vca.members();
   for (std::size_t m = 0; m < members.size(); ++m) {
     Dash5File file(members[m].path);
-    const std::size_t cols = members[m].shape.cols;
-    const std::vector<double> part =
-        file.read_slab(Slab2D{rows.begin, 0, rows.size(), cols});
+    const Slab2D slab{rows.begin, 0, rows.size(), members[m].shape.cols};
+    if (!slab.empty()) {
+      file.read_slab_into(slab, mine + vca.member_col_start(m), total.cols);
+    }
     // Every rank strides into this same member file concurrently.
     comm.charge_modeled_seconds(
-        io.shared_call_cost(part.size() * sizeof(double), p));
-    place_block(part.data(), rows.size(), cols, result.data.data(),
-                total.cols, vca.member_col_start(m));
+        io.shared_call_cost(slab.size() * sizeof(double), p));
   }
   return result;
 }
 
 ParallelReadResult read_rca_direct(mpi::Comm& comm,
                                    const std::string& rca_path,
-                                   const IoCostParams& io) {
+                                   const IoCostParams& io, RowHalo halo) {
   DASSA_TRACE_SPAN("par_read", "par_read.rca_direct");
-  const int p = comm.size();
-  const int rank = comm.rank();
   Dash5File file(rca_path);
   const Shape2D total = file.shape();
-  const Range rows =
-      even_chunk(total.rows, static_cast<std::size_t>(p),
-                 static_cast<std::size_t>(rank));
-
-  ParallelReadResult result;
-  result.rows = rows;
-  result.shape = {rows.size(), total.cols};
-  result.data =
-      file.read_slab(Slab2D{rows.begin, 0, rows.size(), total.cols});
+  const Range rows = rank_rows(comm, total.rows, comm.rank());
+  check_halo(rows, total.rows, halo);
+  ParallelReadResult result = make_result(rows, total.cols, halo);
+  const Slab2D slab{rows.begin, 0, rows.size(), total.cols};
+  file.read_slab_into(slab, owned_data(result), total.cols);
   // All p ranks stride into the same merged file concurrently.
   comm.charge_modeled_seconds(
-      io.shared_call_cost(result.data.size() * sizeof(double), p));
+      io.shared_call_cost(slab.size() * sizeof(double), comm.size()));
   return result;
 }
 

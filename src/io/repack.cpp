@@ -28,8 +28,8 @@ struct OwnedChunk {
   std::uint64_t source_bytes = 0;  ///< raw element bytes read for it
 };
 
-/// Read chunk `id`'s slab out of the VCA and densify it into a
-/// zero-padded chunk.rows x chunk.cols tile — the same tile bytes
+/// Read chunk `id`'s slab out of the VCA straight into a zero-padded
+/// chunk.rows x chunk.cols tile — the same tile bytes
 /// dash5_write's fill_tile produces from the merged array, which is
 /// what makes the parallel output byte-identical to the serial one.
 void fill_tile_from_vca(const Vca& vca, const Dash5Header& header,
@@ -44,12 +44,8 @@ void fill_tile_from_vca(const Vca& vca, const Dash5Header& header,
       std::min(header.chunk.rows, header.shape.rows - r0);
   const std::size_t c_cnt =
       std::min(header.chunk.cols, header.shape.cols - c0);
-  const std::vector<double> slab =
-      vca.read_slab(Slab2D{r0, c0, r_cnt, c_cnt});
-  for (std::size_t r = 0; r < r_cnt; ++r) {
-    std::copy(slab.data() + r * c_cnt, slab.data() + (r + 1) * c_cnt,
-              tile.data() + r * header.chunk.cols);
-  }
+  vca.read_slab_into(Slab2D{r0, c0, r_cnt, c_cnt}, tile.data(),
+                     header.chunk.cols);
 }
 
 }  // namespace

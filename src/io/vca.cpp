@@ -222,20 +222,14 @@ std::vector<VcaPiece> Vca::resolve(const Slab2D& slab) const {
   return pieces;
 }
 
-std::vector<double> Vca::read_slab(const Slab2D& slab) const {
-  const std::vector<VcaPiece> pieces = resolve(slab);
-  std::vector<double> out(slab.size());
-  for (const auto& piece : pieces) {
-    const std::vector<double> part =
-        member_file(piece.member).read_slab(piece.slab);
-    // Scatter the piece's rows into the assembled result.
-    for (std::size_t r = 0; r < piece.slab.row_cnt; ++r) {
-      std::copy(part.data() + r * piece.slab.col_cnt,
-                part.data() + (r + 1) * piece.slab.col_cnt,
-                out.data() + r * slab.col_cnt + piece.col_dst);
-    }
+void Vca::read_slab_into(const Slab2D& slab, double* dst,
+                         std::size_t dst_stride) const {
+  DASSA_CHECK(dst_stride >= slab.col_cnt,
+              "destination stride narrower than the selection");
+  for (const auto& piece : resolve(slab)) {
+    member_file(piece.member)
+        .read_slab_into(piece.slab, dst + piece.col_dst, dst_stride);
   }
-  return out;
 }
 
 RcaBuildStats rca_create(const std::vector<std::string>& files,
@@ -251,19 +245,9 @@ RcaBuildStats rca_create(const std::vector<std::string>& files,
   Vca vca = Vca::build(files);
   const Shape2D total = vca.shape();
 
-  // Read every member in full and place it at its column offset. This
-  // is the "accesses the whole data" cost the paper attributes to RCA.
-  std::vector<double> merged(total.size());
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    Dash5File file(files[i]);
-    const Shape2D fs = file.shape();
-    const std::vector<double> data = file.read_all();
-    const std::size_t col0 = vca.member_col_start(i);
-    for (std::size_t r = 0; r < fs.rows; ++r) {
-      std::copy(data.data() + r * fs.cols, data.data() + (r + 1) * fs.cols,
-                merged.data() + total.at(r, col0));
-    }
-  }
+  // Read every member in full, straight into its column band. This is
+  // the "accesses the whole data" cost the paper attributes to RCA.
+  const std::vector<double> merged = vca.read_all();
 
   // Keep the members' storage dtype so the merged file costs the same
   // bytes per sample as its sources (Table I: RCA extra space = 100%).
@@ -296,28 +280,14 @@ RcaBuildStats rca_create_streaming(const std::vector<std::string>& files,
   header.shape = total;
   Dash5StreamWriter writer(out_path, header);
 
-  // Keep member files open across blocks (one open per member, not one
-  // per block per member).
-  std::vector<std::unique_ptr<Dash5File>> members;
-  members.reserve(files.size());
-  for (const auto& f : files) {
-    members.push_back(std::make_unique<Dash5File>(f));
-  }
-
+  // The VCA keeps its member files open across blocks (one open per
+  // member, not one per block per member).
   std::vector<double> block;
   for (std::size_t row0 = 0; row0 < total.rows; row0 += rows_per_block) {
     const std::size_t rows = std::min(rows_per_block, total.rows - row0);
-    block.assign(rows * total.cols, 0.0);
-    for (std::size_t m = 0; m < members.size(); ++m) {
-      const Shape2D fs = members[m]->shape();
-      const std::vector<double> part =
-          members[m]->read_slab(Slab2D{row0, 0, rows, fs.cols});
-      const std::size_t col0 = vca.member_col_start(m);
-      for (std::size_t r = 0; r < rows; ++r) {
-        std::copy(part.data() + r * fs.cols, part.data() + (r + 1) * fs.cols,
-                  block.data() + r * total.cols + col0);
-      }
-    }
+    block.resize(rows * total.cols);
+    vca.read_slab_into(Slab2D{row0, 0, rows, total.cols}, block.data(),
+                       total.cols);
     writer.append(block);
   }
   writer.close();

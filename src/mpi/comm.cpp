@@ -62,14 +62,14 @@ Comm Comm::split(int color, int key) {
 
 const CostParams& Comm::cost_params() const { return world_->cost_params(); }
 
-void Comm::send_bytes(const std::byte* data, std::size_t n, int dest,
-                      int tag) {
+void Comm::post(detail::Payload body, int dest, int tag) {
   DASSA_CHECK(dest >= 0 && dest < size(), "destination rank out of range");
+  const std::size_t n = body.size_bytes();
   detail::Message msg;
   msg.src = rank_;
   msg.tag = tag;
   msg.context = context_;
-  msg.payload.assign(data, data + n);
+  msg.payload = std::move(body);
   world_->mailbox(to_world(dest)).put(std::move(msg));
 
   stats_.p2p_sends += 1;
@@ -81,14 +81,14 @@ void Comm::send_bytes(const std::byte* data, std::size_t n, int dest,
   bytes.add(n);
 }
 
-std::vector<std::byte> Comm::recv_bytes(int src, int tag) {
+detail::Payload Comm::fetch(int src, int tag) {
   DASSA_CHECK(src >= 0 && src < size(), "source rank out of range");
   detail::Message msg = world_->mailbox(world_rank_)
                             .take(src, tag, context_, world_->aborted());
+  const std::size_t n = msg.payload.size_bytes();
   stats_.p2p_recvs += 1;
-  stats_.bytes_received += msg.payload.size();
-  stats_.modeled_seconds +=
-      world_->cost_params().message_cost(msg.payload.size());
+  stats_.bytes_received += n;
+  stats_.modeled_seconds += world_->cost_params().message_cost(n);
   return std::move(msg.payload);
 }
 
@@ -98,16 +98,16 @@ void Comm::barrier() {
   // 2^k ahead and waits for the rank 2^k behind; ceil(log2 p) rounds.
   const int p = size();
   if (rank_ == 0) global_counters().add(counters::kMpiBarriers);
-  const std::byte token{0};
   for (int dist = 1; dist < p; dist <<= 1) {
     const int dst = (rank_ + dist) % p;
     const int src = (rank_ - dist + p) % p;
-    send_bytes(&token, 1, dst, kBarrierTag);
-    (void)recv_bytes(src, kBarrierTag);
+    post(detail::Payload(std::vector<std::byte>{std::byte{0}}), dst,
+         kBarrierTag);
+    (void)fetch(src, kBarrierTag);
   }
 }
 
-void Comm::bcast_bytes(std::vector<std::byte>& data, int root) {
+void Comm::bcast_payload(detail::Payload& body, int root) {
   DASSA_TRACE_SPAN("mpi", "mpi.bcast");
   // Binomial tree on relative ranks: root sends to relative ranks
   // 1, 2, 4, ...; each receiver forwards down its subtree. log2(p)
@@ -116,7 +116,7 @@ void Comm::bcast_bytes(std::vector<std::byte>& data, int root) {
   DASSA_CHECK(root >= 0 && root < p, "broadcast root out of range");
   if (rank_ == root) {
     global_counters().add(counters::kMpiBcasts);
-    global_counters().add(counters::kMpiBcastBytes, data.size());
+    global_counters().add(counters::kMpiBcastBytes, body.size_bytes());
   }
   const int rel = (rank_ - root + p) % p;
 
@@ -127,7 +127,7 @@ void Comm::bcast_bytes(std::vector<std::byte>& data, int root) {
     high >>= 1;
     const int parent_rel = rel - high;
     const int parent = (parent_rel + root) % p;
-    data = recv_bytes(parent, kBcastTag);
+    body = fetch(parent, kBcastTag);
   }
   // Forward to children: rel + mask for each mask above rel's high bit.
   int mask = 1;
@@ -136,71 +136,70 @@ void Comm::bcast_bytes(std::vector<std::byte>& data, int root) {
     const int child_rel = rel + mask;
     if (child_rel < p) {
       const int child = (child_rel + root) % p;
-      send_bytes(data.data(), data.size(), child, kBcastTag);
+      post(body.clone(), child, kBcastTag);
     }
   }
 }
 
-std::vector<std::vector<std::byte>> Comm::gatherv_bytes(
-    std::vector<std::byte> mine, int root) {
+std::vector<detail::Payload> Comm::gatherv_payloads(detail::Payload mine,
+                                                   int root) {
   DASSA_TRACE_SPAN("mpi", "mpi.gatherv");
   const int p = size();
   DASSA_CHECK(root >= 0 && root < p, "gather root out of range");
-  std::vector<std::vector<std::byte>> out;
+  std::vector<detail::Payload> out;
   if (rank_ == root) {
     out.resize(static_cast<std::size_t>(p));
     out[static_cast<std::size_t>(root)] = std::move(mine);
     for (int r = 0; r < p; ++r) {
       if (r == root) continue;
-      out[static_cast<std::size_t>(r)] = recv_bytes(r, kGatherTag);
+      out[static_cast<std::size_t>(r)] = fetch(r, kGatherTag);
     }
   } else {
-    send_bytes(mine.data(), mine.size(), root, kGatherTag);
+    post(std::move(mine), root, kGatherTag);
   }
   return out;
 }
 
-std::vector<std::byte> Comm::scatter_bytes(const std::vector<std::byte>& all,
-                                           std::size_t per_bytes, int root) {
+detail::Payload Comm::scatter_payloads(std::vector<detail::Payload> parts,
+                                       int root) {
   DASSA_TRACE_SPAN("mpi", "mpi.scatter");
   const int p = size();
   DASSA_CHECK(root >= 0 && root < p, "scatter root out of range");
   if (rank_ == root) {
+    DASSA_CHECK(parts.size() == static_cast<std::size_t>(p),
+                "scatter needs one part per rank");
     for (int r = 0; r < p; ++r) {
       if (r == root) continue;
-      send_bytes(all.data() + static_cast<std::size_t>(r) * per_bytes,
-                 per_bytes, r, kScatterTag);
+      post(std::move(parts[static_cast<std::size_t>(r)]), r, kScatterTag);
     }
-    const std::size_t off = static_cast<std::size_t>(root) * per_bytes;
-    return {all.begin() + static_cast<std::ptrdiff_t>(off),
-            all.begin() + static_cast<std::ptrdiff_t>(off + per_bytes)};
+    return std::move(parts[static_cast<std::size_t>(root)]);
   }
-  return recv_bytes(root, kScatterTag);
+  return fetch(root, kScatterTag);
 }
 
-std::vector<std::vector<std::byte>> Comm::alltoallv_bytes(
-    const std::vector<std::vector<std::byte>>& per_dest) {
+std::vector<detail::Payload> Comm::alltoallv_payloads(
+    std::vector<detail::Payload> per_dest) {
   DASSA_TRACE_SPAN("mpi", "mpi.alltoallv");
   // Pairwise exchange: in step s, send to (rank+s) mod p and receive
   // from (rank-s) mod p. Eager buffered sends make this deadlock-free,
   // and each rank issues exactly p-1 sends -- the O(n/p)-exchange
-  // structure the communication-avoiding read relies on.
+  // structure the communication-avoiding read relies on. Only bytes
+  // that cross ranks are counted: the caller keeps its own block.
   const int p = size();
-  std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(p));
+  DASSA_CHECK(per_dest.size() == static_cast<std::size_t>(p),
+              "alltoallv needs one payload per rank");
+  std::vector<detail::Payload> out(static_cast<std::size_t>(p));
   if (rank_ == 0) global_counters().add(counters::kMpiAlltoalls);
-  std::size_t my_bytes = 0;
-  for (const auto& v : per_dest) my_bytes += v.size();
-  global_counters().add(counters::kMpiAlltoallBytes, my_bytes);
-
-  out[static_cast<std::size_t>(rank_)] =
-      per_dest[static_cast<std::size_t>(rank_)];
+  std::size_t sent_bytes = 0;
   for (int step = 1; step < p; ++step) {
     const int dst = (rank_ + step) % p;
     const int src = (rank_ - step + p) % p;
-    const auto& payload = per_dest[static_cast<std::size_t>(dst)];
-    send_bytes(payload.data(), payload.size(), dst, kAlltoallTag);
-    out[static_cast<std::size_t>(src)] = recv_bytes(src, kAlltoallTag);
+    detail::Payload& payload = per_dest[static_cast<std::size_t>(dst)];
+    sent_bytes += payload.size_bytes();
+    post(std::move(payload), dst, kAlltoallTag);
+    out[static_cast<std::size_t>(src)] = fetch(src, kAlltoallTag);
   }
+  global_counters().add(counters::kMpiAlltoallBytes, sent_bytes);
   return out;
 }
 

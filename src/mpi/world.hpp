@@ -10,18 +10,19 @@
 #include <vector>
 
 #include "dassa/common/sync.hpp"
+#include "dassa/mpi/comm.hpp"
 #include "dassa/mpi/cost_model.hpp"
 
 namespace dassa::mpi::detail {
 
-/// One in-flight message. Payload is always a private copy: MiniMPI
-/// ranks are threads, and copying through the mailbox is what enforces
-/// MPI's no-shared-memory discipline.
+/// One in-flight message. It owns its payload: MiniMPI ranks are
+/// threads, and a payload passing from one owner to the next is what
+/// keeps MPI's no-shared-memory discipline.
 struct Message {
   int src = 0;   ///< sender rank in the COMMUNICATOR's numbering
   int tag = 0;
   std::int64_t context = 0;  ///< communicator context id (0 = world)
-  std::vector<std::byte> payload;
+  Payload payload;
 };
 
 /// Per-rank message queue with (src, tag) matching. FIFO per matching

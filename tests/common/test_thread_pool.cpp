@@ -86,6 +86,21 @@ TEST(ThreadPoolTest, NestedSubmissionFromTasks) {
   EXPECT_EQ(count.load(), 20);
 }
 
+TEST(ThreadPoolTest, BackToBackParallelForsStayInTheirOwnFrame) {
+  // parallel_for keeps its completion latch on the caller's stack, and
+  // the next call builds its latch in the same place. The last worker
+  // must be done with a latch before its caller can return.
+  ThreadPool pool(4);
+  std::atomic<std::size_t> total{0};
+  const std::size_t calls = 20000;
+  for (std::size_t i = 0; i < calls; ++i) {
+    pool.parallel_for(4, [&total](std::size_t, std::size_t b, std::size_t e) {
+      total.fetch_add(e - b);
+    });
+  }
+  EXPECT_EQ(total.load(), 4 * calls);
+}
+
 TEST(ThreadPoolTest, ManyMoreItemsThanThreads) {
   ThreadPool pool(2);
   std::atomic<std::int64_t> sum{0};

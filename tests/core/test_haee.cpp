@@ -239,11 +239,14 @@ TEST(BuildLocalBlockTest, HaloRowsComeFromNeighbours) {
     io::ParallelReadResult read;
     read.rows = rows;
     read.shape = {rows.size(), 4};
-    read.data.assign(
-        data.data.begin() + static_cast<std::ptrdiff_t>(rows.begin * 4),
-        data.data.begin() + static_cast<std::ptrdiff_t>(rows.end * 4));
+    read.halo = ghost_rows(HaloMode::kExchange, global, 3, comm.rank(), 1);
+    read.data.assign((read.halo.lo + rows.size() + read.halo.hi) * 4, 0.0);
+    std::copy(data.data.begin() + static_cast<std::ptrdiff_t>(rows.begin * 4),
+              data.data.begin() + static_cast<std::ptrdiff_t>(rows.end * 4),
+              read.data.begin() +
+                  static_cast<std::ptrdiff_t>(read.halo.lo * 4));
 
-    const LocalBlock block = build_local_block(comm, read, global, 1);
+    const LocalBlock block = build_local_block(comm, std::move(read), global);
     if (comm.rank() == 1) {
       ASSERT_EQ(block.block_shape, (Shape2D{4, 4}));
       EXPECT_EQ(block.global_row0, 1u);
@@ -257,6 +260,58 @@ TEST(BuildLocalBlockTest, HaloRowsComeFromNeighbours) {
   });
 }
 
+class GhostRowsTest
+    : public ::testing::TestWithParam<std::tuple<HaloMode, int>> {};
+
+TEST_P(GhostRowsTest, BlockIsASliceOfTheWholeArray) {
+  // The read reserves the ghost rows and the halo stage fills them in
+  // place: owned plus ghost rows equal a row slice of the whole array,
+  // whichever strategy read the block.
+  const auto [mode, world] = GetParam();
+  TmpDir dir("haee");
+  Fixture fx(dir);  // 24 channels: at least 3 per rank at world 7
+  const Shape2D global = fx.vca.shape();
+  const std::size_t halo = 2;
+  for (const ReadMethod method :
+       {ReadMethod::kCollectivePerFile, ReadMethod::kCommunicationAvoiding,
+        ReadMethod::kDirectPerRank}) {
+    mpi::Runtime::run(world, [&](mpi::Comm& comm) {
+      const io::RowHalo ghosts =
+          ghost_rows(mode, global, comm.size(), comm.rank(), halo);
+      io::ParallelReadResult read =
+          method == ReadMethod::kCollectivePerFile
+              ? io::read_vca_collective_per_file(comm, fx.vca, {}, ghosts)
+          : method == ReadMethod::kCommunicationAvoiding
+              ? io::read_vca_comm_avoiding(comm, fx.vca, {}, ghosts)
+              : io::read_vca_direct_per_rank(comm, fx.vca, {}, ghosts);
+      const Range rows = read.rows;
+      const LocalBlock block =
+          mode == HaloMode::kExchange
+              ? build_local_block(comm, std::move(read), global)
+              : build_local_block_overlap(comm, fx.vca, std::move(read),
+                                          global);
+      const std::size_t lo = comm.rank() > 0 ? halo : 0;
+      const std::size_t hi = comm.rank() < world - 1 ? halo : 0;
+      ASSERT_EQ(block.block_shape,
+                (Shape2D{lo + rows.size() + hi, global.cols}));
+      EXPECT_EQ(block.owned_local, (Range{lo, lo + rows.size()}));
+      EXPECT_EQ(block.global_row0 + lo, rows.begin);
+      const auto first = fx.truth.data.begin() +
+                         static_cast<std::ptrdiff_t>(block.global_row0 *
+                                                     global.cols);
+      EXPECT_EQ(block.data,
+                std::vector<double>(
+                    first, first + static_cast<std::ptrdiff_t>(
+                                       block.data.size())));
+    });
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Worlds, GhostRowsTest,
+    ::testing::Combine(::testing::Values(HaloMode::kExchange,
+                                         HaloMode::kOverlapRead),
+                       ::testing::Values(1, 2, 3, 4, 7)));
 
 TEST(HaeeTest, OverlapReadHaloMatchesExchange) {
   TmpDir dir("haee");

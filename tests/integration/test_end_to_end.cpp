@@ -10,7 +10,7 @@
 #include "dassa/das/local_similarity.hpp"
 #include "dassa/das/search.hpp"
 #include "dassa/das/synth.hpp"
-#include "dassa/io/dash5_source.hpp"
+#include "dassa/io/dash5.hpp"
 #include "testing/tmpdir.hpp"
 
 namespace dassa {

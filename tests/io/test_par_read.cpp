@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
 
 #include "dassa/common/counters.hpp"
@@ -97,6 +98,63 @@ TEST_P(ParReadTest, RcaDirectAssemblesCorrectBlocks) {
         read_rca_direct(comm, dir.file("merged.dh5"));
     EXPECT_EQ(res.data, fx.expected_block(comm.size(), comm.rank()));
   });
+}
+
+TEST_P(ParReadTest, HaloReadsReserveZeroGhostRows) {
+  // Each strategy sizes its block once with the ghost rows asked for:
+  // owned rows at row halo.lo, ghost rows left zero for the halo stage.
+  const auto [p, files_n] = GetParam();
+  TmpDir dir("pr");
+  Fixture fx(dir, 12, files_n, 6);
+  (void)rca_create(fx.files, dir.file("merged.dh5"));
+  Vca vca = Vca::build(fx.files);
+  using Reader = std::function<ParallelReadResult(mpi::Comm&, RowHalo)>;
+  const std::vector<Reader> readers = {
+      [&](mpi::Comm& c, RowHalo h) {
+        return read_vca_collective_per_file(c, vca, {}, h);
+      },
+      [&](mpi::Comm& c, RowHalo h) {
+        return read_vca_comm_avoiding(c, vca, {}, h);
+      },
+      [&](mpi::Comm& c, RowHalo h) {
+        return read_vca_direct_per_rank(c, vca, {}, h);
+      },
+      [&](mpi::Comm& c, RowHalo h) {
+        return read_rca_direct(c, dir.file("merged.dh5"), {}, h);
+      }};
+  for (const Reader& read : readers) {
+    mpi::Runtime::run(p, [&](mpi::Comm& comm) {
+      const Range rows =
+          even_chunk(fx.global.rows, static_cast<std::size_t>(comm.size()),
+                     static_cast<std::size_t>(comm.rank()));
+      const RowHalo halo{std::min<std::size_t>(2, rows.begin),
+                         std::min<std::size_t>(2, fx.global.rows - rows.end)};
+      const ParallelReadResult res = read(comm, halo);
+      EXPECT_EQ(res.halo.lo, halo.lo);
+      EXPECT_EQ(res.halo.hi, halo.hi);
+      const std::size_t cols = fx.global.cols;
+      ASSERT_EQ(res.data.size(), (halo.lo + rows.size() + halo.hi) * cols);
+      const auto owned_begin =
+          res.data.begin() + static_cast<std::ptrdiff_t>(halo.lo * cols);
+      EXPECT_EQ(std::vector<double>(
+                    owned_begin, owned_begin + static_cast<std::ptrdiff_t>(
+                                                   rows.size() * cols)),
+                fx.expected_block(comm.size(), comm.rank()));
+      for (std::size_t i = 0; i < halo.lo * cols; ++i) {
+        ASSERT_EQ(res.data[i], 0.0);
+      }
+      for (std::size_t i = (halo.lo + rows.size()) * cols;
+           i < res.data.size(); ++i) {
+        ASSERT_EQ(res.data[i], 0.0);
+      }
+    });
+  }
+  // Ghost rows above channel 0 do not exist.
+  EXPECT_THROW(mpi::Runtime::run(1,
+                                 [&](mpi::Comm& comm) {
+                                   (void)readers[1](comm, RowHalo{1, 0});
+                                 }),
+               InvalidArgument);
 }
 
 INSTANTIATE_TEST_SUITE_P(

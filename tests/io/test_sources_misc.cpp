@@ -1,11 +1,11 @@
-// Remaining public-API coverage: Dash5Source adapter, Array2D helpers,
-// cost-model arithmetic.
+// Remaining public-API coverage: a DASH5 file read as an ArraySource,
+// Array2D helpers, cost-model arithmetic.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
 #include "dassa/core/array.hpp"
-#include "dassa/io/dash5_source.hpp"
+#include "dassa/io/dash5.hpp"
 #include "dassa/io/par_read.hpp"
 #include "dassa/mpi/runtime.hpp"
 #include "testing/tmpdir.hpp"
@@ -15,7 +15,7 @@ namespace {
 
 using testing::TmpDir;
 
-TEST(Dash5SourceTest, AdapterMatchesDirectFile) {
+TEST(ArraySourceTest, Dash5FileReadsAsASource) {
   TmpDir dir("src");
   io::Dash5Header h;
   h.shape = {4, 6};
@@ -23,12 +23,13 @@ TEST(Dash5SourceTest, AdapterMatchesDirectFile) {
   std::iota(data.begin(), data.end(), 0.0);
   io::dash5_write(dir.file("a.dh5"), h, data);
 
-  io::Dash5Source source(dir.file("a.dh5"));
+  const io::Dash5File file(dir.file("a.dh5"));
+  const io::ArraySource& source = file;
   EXPECT_EQ(source.shape(), (Shape2D{4, 6}));
   EXPECT_EQ(source.read_all(), data);
   EXPECT_EQ(source.read_slab(Slab2D{1, 2, 2, 3}),
             (std::vector<double>{8, 9, 10, 14, 15, 16}));
-  EXPECT_EQ(source.file().global_meta().size(), 0u);
+  EXPECT_EQ(file.global_meta().size(), 0u);
 }
 
 TEST(Array2dTest, RowViewsAndAccessors) {

@@ -11,13 +11,15 @@
 #include <random>
 
 #include "dassa/common/counters.hpp"
-#include "dassa/io/dash5_source.hpp"
 #include "testing/tmpdir.hpp"
 
 namespace dassa::io {
 namespace {
 
 using testing::TmpDir;
+
+/// How the fixture's member files are stored.
+enum class Storage { kV2Plain, kV2Chunked, kV3 };
 
 /// Write `splits` files whose column counts are `cols_per_file`, filled
 /// from one coherent global array so concatenation is checkable.
@@ -28,7 +30,7 @@ struct Fixture {
 
   Fixture(TmpDir& dir, std::size_t rows,
           const std::vector<std::size_t>& cols_per_file,
-          DType dtype = DType::kF64) {
+          DType dtype = DType::kF64, Storage storage = Storage::kV2Plain) {
     std::size_t total_cols = 0;
     for (std::size_t c : cols_per_file) total_cols += c;
     global = {rows, total_cols};
@@ -49,6 +51,11 @@ struct Fixture {
       Dash5Header h;
       h.shape = fshape;
       h.dtype = dtype;
+      if (storage != Storage::kV2Plain) {
+        h.layout = Layout::kChunked;
+        h.chunk = {4, 4};
+      }
+      if (storage == Storage::kV3) h.codec = CodecSpec::parse("shuffle+lz");
       h.global.set(meta::kTimeStamp, "17072822451" + std::to_string(i));
       const std::string path = dir.file("part" + std::to_string(i) + ".dh5");
       dash5_write(path, h, fdata);
@@ -221,7 +228,7 @@ TEST(LavTest, WindowedViewReads) {
 TEST(LavTest, ComposedViewsReoffset) {
   TmpDir dir("lav");
   Fixture fx(dir, 8, {20});
-  auto src = std::make_shared<Dash5Source>(fx.files[0]);
+  auto src = std::make_shared<Dash5File>(fx.files[0]);
   auto outer = std::make_shared<Lav>(src, Slab2D{2, 4, 6, 12});
   Lav inner(outer, Slab2D{1, 2, 3, 4});
   EXPECT_EQ(inner.shape(), (Shape2D{3, 4}));
@@ -236,7 +243,7 @@ TEST(LavTest, ComposedViewsReoffset) {
 TEST(LavTest, RejectsOversizedWindow) {
   TmpDir dir("lav");
   Fixture fx(dir, 4, {6});
-  auto src = std::make_shared<Dash5Source>(fx.files[0]);
+  auto src = std::make_shared<Dash5File>(fx.files[0]);
   EXPECT_THROW(Lav(src, Slab2D{0, 0, 5, 6}), InvalidArgument);
   EXPECT_THROW(Lav(nullptr, Slab2D{0, 0, 1, 1}), InvalidArgument);
 }
@@ -251,6 +258,75 @@ TEST(MemorySourceTest, SlabReads) {
   EXPECT_EQ(got, (std::vector<double>{5, 6, 9, 10}));
   EXPECT_THROW(MemorySource(shape, std::vector<double>(5)), InvalidArgument);
 }
+
+/// The source a strided read goes through.
+enum class Via { kVca, kLav, kMemory };
+
+class ReadSlabIntoTest
+    : public ::testing::TestWithParam<std::tuple<Storage, DType, Via>> {};
+
+TEST_P(ReadSlabIntoTest, StridedDestinationMatchesReadSlab) {
+  const auto [storage, dtype, via] = GetParam();
+  TmpDir dir("into");
+  Fixture fx(dir, 7, {5, 9, 3, 12}, dtype, storage);
+  auto vca = std::make_shared<Vca>(Vca::build(fx.files));
+  // Global coordinates of the source's (0, 0): the LAV window starts
+  // inside member 0 and ends inside member 3.
+  const Slab2D window{1, 2, 6, 25};
+  std::shared_ptr<ArraySource> src = vca;
+  std::size_t row0 = 0;
+  std::size_t col0 = 0;
+  if (via == Via::kLav) {
+    src = std::make_shared<Lav>(vca, window);
+    row0 = window.row_off;
+    col0 = window.col_off;
+  } else if (via == Via::kMemory) {
+    src = std::make_shared<MemorySource>(vca->shape(), vca->read_all());
+  }
+  const double sentinel = -12345.5;
+  for (const Slab2D slab :
+       {Slab2D{1, 3, 2, 10},   // spans members 0-1(-2)
+        Slab2D{0, 4, 5, 2},    // one member boundary
+        Slab2D{2, 14, 1, 10},  // members 2-3
+        Slab2D{0, 6, 3, 2},    // inside one member
+        Slab2D::whole(src->shape())}) {
+    const std::vector<double> want = src->read_slab(slab);
+    ASSERT_EQ(want.size(), slab.size());
+    const std::size_t off = 3;
+    const std::size_t stride = slab.col_cnt + 5;
+    std::vector<double> dst(off + slab.row_cnt * stride, sentinel);
+    src->read_slab_into(slab, dst.data() + off, stride);
+    std::size_t untouched = 0;
+    for (const double v : dst) untouched += v == sentinel ? 1 : 0;
+    EXPECT_EQ(untouched, dst.size() - slab.size()) << slab.str();
+    for (std::size_t r = 0; r < slab.row_cnt; ++r) {
+      for (std::size_t c = 0; c < slab.col_cnt; ++c) {
+        const double got = dst[off + r * stride + c];
+        ASSERT_EQ(got, want[r * slab.col_cnt + c]) << slab.str();
+        const double truth =
+            fx.data[fx.global.at(row0 + slab.row_off + r,
+                                 col0 + slab.col_off + c)];
+        if (dtype == DType::kF64) {
+          ASSERT_EQ(got, truth) << slab.str();
+        } else {
+          ASSERT_EQ(got, static_cast<double>(static_cast<float>(truth)))
+              << slab.str();
+        }
+      }
+    }
+  }
+  std::vector<double> narrow(8);
+  EXPECT_THROW(src->read_slab_into(Slab2D{0, 0, 2, 4}, narrow.data(), 3),
+               InvalidArgument);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sources, ReadSlabIntoTest,
+    ::testing::Combine(::testing::Values(Storage::kV2Plain,
+                                         Storage::kV2Chunked, Storage::kV3),
+                       ::testing::Values(DType::kF64, DType::kF32),
+                       ::testing::Values(Via::kVca, Via::kLav,
+                                         Via::kMemory)));
 
 }  // namespace
 }  // namespace dassa::io

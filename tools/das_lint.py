@@ -375,37 +375,41 @@ FUNC_DEF = re.compile(
     re.M | re.S)
 
 
+ANON_NAMESPACE = re.compile(r"\bnamespace\s*\{")
+
+
+def matching_brace(text, open_idx):
+    """Index of the `}` closing the `{` at `open_idx` (len(text) if the
+    brace is never closed)."""
+    depth = 0
+    for i in range(open_idx, len(text)):
+        if text[i] == "{":
+            depth += 1
+        elif text[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return i
+    return len(text)
+
+
 def rule_entry_guard(path, scrubbed, raw):
     """Out-of-line definitions in src/*.cpp with parameters must
     validate input near the top of the body."""
     if not (str(path).startswith("src/") and path.endswith(".cpp")):
         return
+    # Local helpers inside anonymous namespaces are not public API; they
+    # are only reachable through a guarded entry point. The extents come
+    # from brace matching: the `}  // namespace` close marker is a
+    # comment, blank in the scrubbed text.
+    anonymous = [(m.start(), matching_brace(scrubbed, m.end() - 1))
+                 for m in ANON_NAMESPACE.finditer(scrubbed)]
     for m in FUNC_DEF.finditer(scrubbed):
         name, params = m.group(1), m.group(2).strip()
         if not params or params == "void":
             continue
-        # Local helpers inside anonymous namespaces are not public API;
-        # they are only reachable through a guarded entry point.
-        before = scrubbed[:m.start()]
-        if before.count("namespace {") > before.count("}  // namespace\n"):
-            # Heuristic: inside an open anonymous namespace.
-            anon_open = before.rfind("namespace {")
-            anon_close = before.rfind("}  // namespace")
-            if anon_open > anon_close:
-                continue
-        # Find the body extent by brace matching.
-        depth, i = 0, m.end() - 1
-        end = len(scrubbed)
-        while i < len(scrubbed):
-            if scrubbed[i] == "{":
-                depth += 1
-            elif scrubbed[i] == "}":
-                depth -= 1
-                if depth == 0:
-                    end = i
-                    break
-            i += 1
-        body = scrubbed[m.end():end]
+        if any(lo < m.start() < hi for lo, hi in anonymous):
+            continue
+        body = scrubbed[m.end():matching_brace(scrubbed, m.end() - 1)]
         lineno = scrubbed[:m.start()].count("\n") + 1
         if not GUARD_TOKENS.search(body):
             yield Finding(
@@ -564,6 +568,13 @@ SELF_TEST_FIXTURES = [
      "int scale(int v) {\n"
      "  DASSA_CHECK(v >= 0, \"v must be non-negative\");\n"
      "  return v * 2;\n}\n", False),
+    (rule_entry_guard, "src/fix/pos.cpp",
+     "namespace {\nint twice(int v) {\n  return v * 2;\n}\n"
+     "}  // namespace\n\nint scale(int v) {\n  return twice(v);\n}\n",
+     True),  # a public definition after a closed anonymous namespace
+    (rule_entry_guard, "src/fix/neg.cpp",
+     "namespace {\nint twice(int v) {\n  return v * 2;\n}\n"
+     "}  // namespace\n", False),
     (rule_sync_primitive, "src/fix/pos.cpp",
      "#include <mutex>\nstruct S {\n  std::mutex mu;\n};\n", True),
     (rule_sync_primitive, "src/fix/neg.cpp",
