@@ -22,6 +22,9 @@
 int main() {
   using namespace dassa;
   const std::string dir = "merge_demo_data";
+  // Start clean: the merged RCA written below carries the acquisition's
+  // timestamp, so a rerun's catalog scan would take it for a member.
+  std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
   const das::SynthDas synth = das::SynthDas::fig1b_scene(64, 100.0);

@@ -127,6 +127,15 @@ class Dash5StreamWriter {
   std::vector<ChunkIndexEntry> index_;
 };
 
+/// One destination of a routed whole-member scan (Dash5File::scan_into):
+/// member rows [rows.begin, rows.end) land in `dst`, row r at
+/// `dst + (r - rows.begin) * stride`.
+struct RowBand {
+  Range rows;
+  double* dst = nullptr;
+  std::size_t stride = 0;
+};
+
 /// Read-only handle on a DASH5 file. Opening parses and CRC-verifies
 /// the header only; dataset bytes are read on demand. A file is itself
 /// an ArraySource, so single files, VCAs and LAVs are interchangeable
@@ -161,14 +170,34 @@ class Dash5File final : public ArraySource {
 
   /// Read a rectangular selection into caller memory: row r of the
   /// selection lands at `dst + r * dst_stride` (at least slab.col_cnt),
-  /// converted to double once, at the destination. Full-width row
-  /// blocks are served with one contiguous read; partial-width
-  /// selections fall back to one read per row (each counted, which is
-  /// exactly the small-I/O amplification the paper's VCA discussion is
-  /// about). Reads are `const`: only the (non-observable) file cursor
-  /// moves.
+  /// converted to double once, at the destination. The whole dataset
+  /// is a scan_into() with one band; any other selection is a
+  /// read_window_into(). Reads are `const`: only the (non-observable)
+  /// file cursor moves.
   void read_slab_into(const Slab2D& slab, double* dst,
                       std::size_t dst_stride) const override;
+
+  /// The windowed path, for any selection including the whole dataset:
+  /// v3 tiles come from and go into the chunk cache and feed the
+  /// readahead prefetcher. Full-width v2 row blocks are served with one
+  /// contiguous read; partial-width v2 selections fall back to one read
+  /// per row (each counted, which is exactly the small-I/O
+  /// amplification the paper's VCA discussion is about). A Vca window
+  /// reads its members this way, whole-member pieces included: the
+  /// member handles outlive the read, so the next window reuses tiles.
+  void read_window_into(const Slab2D& slab, double* dst,
+                        std::size_t dst_stride) const;
+
+  /// Read the whole dataset with one data read call and route each row
+  /// to the band that owns it, converted to double once, at the
+  /// destination. `bands` must tile the rows in order (band k + 1
+  /// begins where band k ends, the last ends at shape().rows; empty
+  /// bands are allowed) and each stride must be at least shape().cols.
+  /// v3 tiles are CRC-checked and decoded once each, by the calling
+  /// thread and io_pool() workers pulling from one tile counter, and
+  /// are never looked up in or admitted to the chunk cache. Every
+  /// worker is done with `bands` when the call returns or throws.
+  void scan_into(std::span<const RowBand> bands) const;
 
   /// Parse only the header of `path` (used by VCA construction, which
   /// must never touch data bytes).
@@ -209,6 +238,9 @@ class Dash5File final : public ArraySource {
   std::unique_ptr<Prefetch> prefetch_;
 
   void parse_chunk_index();
+  [[nodiscard]] const std::byte* chunk_elements(
+      std::size_t chunk_idx, std::span<const std::byte> stored,
+      std::vector<std::byte>& scratch) const;
   [[nodiscard]] std::vector<double> decode_chunk(
       std::size_t chunk_idx, std::span<const std::byte> stored) const;
   [[nodiscard]] std::shared_ptr<const std::vector<double>> load_tile(

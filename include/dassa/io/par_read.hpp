@@ -13,8 +13,9 @@
 //
 //  * communication-avoiding (Fig. 5b): files are assigned round-robin;
 //    each rank reads its own files whole (one contiguous I/O call per
-//    file), then a single all-to-all exchange routes every channel
-//    block to its owner. O(n) reads, and each rank participates in only
+//    file, decoded straight into the rank's block and one payload per
+//    other rank by Dash5File::scan_into), then a single all-to-all
+//    exchange routes every channel block to its owner. O(n) reads, and each rank participates in only
 //    O(p) pairwise exchanges carrying its O(n/p) file shares.
 //
 //  * RCA direct: the reference case of reading a physically merged

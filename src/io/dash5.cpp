@@ -1,11 +1,12 @@
 #include "dassa/io/dash5.hpp"
 
+#include <atomic>
 #include <cstring>
+#include <exception>
+#include <functional>
 #include <limits>
 #include <set>
 #include <utility>
-
-#include <atomic>
 
 #include "dassa/common/counters.hpp"
 #include "dassa/common/thread_pool.hpp"
@@ -223,6 +224,84 @@ void copy_tile_part(const double* tile, ChunkShape chunk, std::size_t gi,
     std::copy(src, src + (c_hi - c_lo),
               dst + (r - slab.row_off) * dst_stride + (c_lo - slab.col_off));
   }
+}
+
+/// Widen stored rows [r0, r1) of a column run [c0, c0 + n) into the
+/// bands that own them; row r's stored elements start at
+/// `raw + (r - r0) * raw_stride` bytes.
+void route_rows(std::span<const RowBand> bands, DType dtype,
+                const std::byte* raw, std::size_t raw_stride, std::size_t r0,
+                std::size_t r1, std::size_t c0, std::size_t n) {
+  for (const RowBand& b : bands) {
+    const std::size_t lo = std::max(r0, b.rows.begin);
+    const std::size_t hi = std::min(r1, b.rows.end);
+    for (std::size_t r = lo; r < hi; ++r) {
+      decode_elems(dtype, raw + (r - r0) * raw_stride, n,
+                   b.dst + (r - b.rows.begin) * b.stride + c0);
+    }
+  }
+}
+
+/// A tile loop shared by the calling thread and io_pool() helpers. It
+/// lives on the heap, owned by every participant, because a helper may
+/// start after the loop is over; such a helper only bumps `next` and
+/// leaves, never calling `body`.
+struct SharedTileLoop {
+  std::size_t n = 0;
+  const std::function<void(std::size_t)>* body = nullptr;
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  Mutex mu;
+  CondVar cv;
+  std::size_t finished DASSA_GUARDED_BY(mu) = 0;
+  std::exception_ptr error DASSA_GUARDED_BY(mu);
+
+  /// Claim and run tiles until none is left. After a failure the
+  /// remaining claims are counted but skipped.
+  void drain() {
+    for (std::size_t k = next.fetch_add(1); k < n; k = next.fetch_add(1)) {
+      std::exception_ptr err;
+      if (!failed.load(std::memory_order_relaxed)) {
+        try {
+          (*body)(k);
+        } catch (...) {
+          err = std::current_exception();
+          failed.store(true, std::memory_order_relaxed);
+        }
+      }
+      MutexLock lock(mu);
+      if (err && !error) error = std::move(err);
+      if (++finished == n) cv.notify_all();
+    }
+  }
+};
+
+/// Run body(k) for every k in [0, n) on the calling thread, joined by
+/// up to io_pool().size() workers when there are enough tiles to pay
+/// for the fan-out. The caller never blocks while tiles remain, and
+/// returns only once every claimed tile is finished; the first
+/// exception is rethrown.
+void run_tiles(std::size_t n, const std::function<void(std::size_t)>& body) {
+  auto loop = std::make_shared<SharedTileLoop>();
+  loop->n = n;
+  loop->body = &body;
+  for (std::size_t h = 0; n >= 4 && h < io_pool().size(); ++h) {
+    try {
+      io_pool().submit([loop] { loop->drain(); });
+    } catch (...) {
+      break;  // fewer helpers: the caller drains what they leave
+    }
+  }
+  loop->drain();
+  std::exception_ptr error;
+  {
+    MutexLock lock(loop->mu);
+    while (loop->finished != n) loop->cv.wait(lock);
+    // Taken out, so the exception is released on this thread and not by
+    // whichever helper drops the loop last.
+    error = std::move(loop->error);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 void write_elements(OutputFile& out, const Dash5Header& header,
@@ -693,24 +772,28 @@ void Dash5File::parse_chunk_index() {
   }
 }
 
-std::vector<double> Dash5File::decode_chunk(
-    std::size_t chunk_idx, std::span<const std::byte> stored) const {
+const std::byte* Dash5File::chunk_elements(
+    std::size_t chunk_idx, std::span<const std::byte> stored,
+    std::vector<std::byte>& scratch) const {
   DASSA_TRACE_SPAN("codec", "codec.decode_chunk");
   const ChunkIndexEntry& e = index_[chunk_idx];
   if (detail::crc32(stored.data(), stored.size()) != e.crc) {
     throw FormatError("chunk " + std::to_string(chunk_idx) +
                       " CRC mismatch in " + file_.path());
   }
-  const std::size_t chunk_elems = header_.chunk.rows * header_.chunk.cols;
-  std::vector<double> tile(chunk_elems);
-  if (e.codec == 0) {
-    decode_elems(header_.dtype, stored.data(), chunk_elems, tile.data());
-  } else {
-    const std::vector<std::byte> raw =
-        decode_chain(header_.codec, stored, dtype_size(header_.dtype),
-                     static_cast<std::size_t>(e.raw_size));
-    decode_elems(header_.dtype, raw.data(), chunk_elems, tile.data());
-  }
+  if (e.codec == 0) return stored.data();
+  scratch = decode_chain(header_.codec, stored, dtype_size(header_.dtype),
+                         static_cast<std::size_t>(e.raw_size));
+  return scratch.data();
+}
+
+std::vector<double> Dash5File::decode_chunk(
+    std::size_t chunk_idx, std::span<const std::byte> stored) const {
+  DASSA_CHECK(chunk_idx < index_.size(), "chunk index out of range");
+  std::vector<std::byte> scratch;
+  const std::byte* raw = chunk_elements(chunk_idx, stored, scratch);
+  std::vector<double> tile(header_.chunk.rows * header_.chunk.cols);
+  decode_elems(header_.dtype, raw, tile.size(), tile.data());
   return tile;
 }
 
@@ -740,6 +823,17 @@ Dash5Header Dash5File::read_header(const std::string& path) {
 
 void Dash5File::read_slab_into(const Slab2D& slab, double* dst,
                                std::size_t dst_stride) const {
+  slab.validate_against(header_.shape);
+  if (slab == Slab2D::whole(header_.shape) && !slab.empty()) {
+    const RowBand band{{0, slab.row_cnt}, dst, dst_stride};
+    scan_into({&band, 1});
+    return;
+  }
+  read_window_into(slab, dst, dst_stride);
+}
+
+void Dash5File::read_window_into(const Slab2D& slab, double* dst,
+                                 std::size_t dst_stride) const {
   DASSA_TRACE_SPAN("io", "io.read_slab");
   slab.validate_against(header_.shape);
   DASSA_CHECK(dst_stride >= slab.col_cnt,
@@ -811,6 +905,73 @@ void Dash5File::read_slab_into(const Slab2D& slab, double* dst,
                    dst + r * dst_stride);
     }
   }
+}
+
+void Dash5File::scan_into(std::span<const RowBand> bands) const {
+  const Shape2D shape = header_.shape;
+  std::size_t next_row = 0;
+  for (const RowBand& b : bands) {
+    DASSA_CHECK(b.rows.begin == next_row && b.rows.end >= b.rows.begin,
+                "scan bands must tile the rows in order");
+    DASSA_CHECK(b.dst != nullptr || b.rows.size() == 0,
+                "scan band without a destination");
+    DASSA_CHECK(b.stride >= shape.cols,
+                "scan band stride narrower than the dataset");
+    next_row = b.rows.end;
+  }
+  DASSA_CHECK(next_row == shape.rows, "scan bands must cover every row");
+  if (shape.empty()) return;
+  DASSA_TRACE_SPAN("io", "io.read_slab");
+
+  // The data region in one read: dense rows, dense padded tiles, or the
+  // densely packed v3 chunks (parse_chunk_index checked the packing).
+  const DType dtype = header_.dtype;
+  const std::size_t esize = dtype_size(dtype);
+  const std::size_t chunk_elems = header_.chunk.rows * header_.chunk.cols;
+  const auto [grid_rows, grid_cols] = header_.layout == Layout::kChunked
+                                          ? chunk_grid(header_)
+                                          : std::pair<std::size_t, std::size_t>{};
+  std::size_t stored_bytes = shape.size() * esize;
+  if (version_ >= 3) {
+    stored_bytes = static_cast<std::size_t>(
+        index_.back().offset + index_.back().csize - data_offset_);
+  } else if (header_.layout == Layout::kChunked) {
+    stored_bytes = grid_rows * grid_cols * chunk_elems * esize;
+  }
+  std::vector<std::byte> stored;
+  {
+    MutexLock lock(io_mu_);
+    stored = file_.read_vec(data_offset_, stored_bytes);
+  }
+
+  if (header_.layout == Layout::kContiguous) {
+    route_rows(bands, dtype, stored.data(), shape.cols * esize, 0, shape.rows,
+               0, shape.cols);
+    return;
+  }
+  // Tile k's rows and columns inside the dataset, widened into the
+  // bands from its raw element bytes.
+  const auto route_tile = [&](std::size_t k, const std::byte* raw) {
+    const std::size_t r0 = (k / grid_cols) * header_.chunk.rows;
+    const std::size_t c0 = (k % grid_cols) * header_.chunk.cols;
+    route_rows(bands, dtype, raw, header_.chunk.cols * esize, r0,
+               std::min(shape.rows, r0 + header_.chunk.rows), c0,
+               std::min(shape.cols - c0, header_.chunk.cols));
+  };
+  if (version_ < 3) {
+    for (std::size_t k = 0; k < grid_rows * grid_cols; ++k) {
+      route_tile(k, stored.data() + k * chunk_elems * esize);
+    }
+    return;
+  }
+  run_tiles(index_.size(), [&](std::size_t k) {
+    const ChunkIndexEntry& e = index_[k];
+    const std::span<const std::byte> tile{
+        stored.data() + (e.offset - data_offset_),
+        static_cast<std::size_t>(e.csize)};
+    std::vector<std::byte> scratch;
+    route_tile(k, chunk_elements(k, tile, scratch));
+  });
 }
 
 void Dash5File::read_v3_into(const Slab2D& slab, double* dst,

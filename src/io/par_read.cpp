@@ -43,6 +43,16 @@ double* owned_data(ParallelReadResult& result) {
   return result.data.data() + result.halo.lo * result.shape.cols;
 }
 
+/// Whole-file readers route rows and columns by the shape the VCA
+/// recorded, so a member rewritten since the VCA was built is refused
+/// instead of misread.
+void check_member_shape(const Dash5File& file, const VcaMember& member) {
+  if (file.shape() != member.shape) {
+    throw FormatError(member.path + " is " + file.shape().str() +
+                      " but the VCA recorded " + member.shape.str());
+  }
+}
+
 Range rank_rows(const mpi::Comm& comm, std::size_t total_rows, int rank) {
   return even_chunk(total_rows, static_cast<std::size_t>(comm.size()),
                     static_cast<std::size_t>(rank));
@@ -72,6 +82,7 @@ ParallelReadResult read_vca_collective_per_file(mpi::Comm& comm,
     if (rank == aggregator) {
       DASSA_TRACE_SPAN("par_read", "par_read.file_read");
       Dash5File file(members[m].path);
+      check_member_shape(file, members[m]);
       file_data = file.read_all();
       comm.charge_modeled_seconds(io.call_cost(
           file_data.size() * sizeof(double), comm.size()));
@@ -103,10 +114,10 @@ ParallelReadResult read_vca_comm_avoiding(mpi::Comm& comm, const Vca& vca,
   ParallelReadResult result = make_result(rows, total.cols, halo);
   double* const mine = owned_data(result);
 
-  // Phase 1: read my round-robin share of files, whole-file contiguous
-  // reads. My own channel block goes straight into the result; the
-  // other ranks' blocks are carved into one buffer per destination,
-  // sized up front so it is written once.
+  // Phase 1: scan my round-robin share of files, one whole-file read
+  // each. The scan decodes every row straight to its owner: my channel
+  // block into the result, each other rank's block into its payload,
+  // which is sized up front and holds the blocks in file order.
   std::size_t my_cols = 0;
   for (std::size_t m = static_cast<std::size_t>(rank); m < n;
        m += static_cast<std::size_t>(p)) {
@@ -115,28 +126,34 @@ ParallelReadResult read_vca_comm_avoiding(mpi::Comm& comm, const Vca& vca,
   std::vector<std::vector<double>> per_dest(static_cast<std::size_t>(p));
   for (int q = 0; q < p; ++q) {
     if (q != rank) {
-      per_dest[static_cast<std::size_t>(q)].reserve(
+      per_dest[static_cast<std::size_t>(q)].resize(
           rank_rows(comm, total.rows, q).size() * my_cols);
     }
   }
+  std::vector<RowBand> bands(static_cast<std::size_t>(p));
+  std::size_t cols_before = 0;
   for (std::size_t m = static_cast<std::size_t>(rank); m < n;
        m += static_cast<std::size_t>(p)) {
     DASSA_TRACE_SPAN("par_read", "par_read.local_read");
-    Dash5File file(members[m].path);
-    const std::vector<double> data = file.read_all();
-    comm.charge_modeled_seconds(
-        io.call_cost(data.size() * sizeof(double), comm.size()));
     const std::size_t cols = members[m].shape.cols;
-    place_block(data.data() + rows.begin * cols, rows.size(), cols, mine,
-                total.cols, vca.member_col_start(m));
     for (int q = 0; q < p; ++q) {
-      if (q == rank) continue;
-      const Range qr = rank_rows(comm, total.rows, q);
-      auto& payload = per_dest[static_cast<std::size_t>(q)];
-      payload.insert(payload.end(),
-                     data.begin() + static_cast<std::ptrdiff_t>(qr.begin * cols),
-                     data.begin() + static_cast<std::ptrdiff_t>(qr.end * cols));
+      RowBand& band = bands[static_cast<std::size_t>(q)];
+      band = {rank_rows(comm, total.rows, q), nullptr, cols};
+      if (band.rows.size() == 0) continue;
+      if (q == rank) {
+        band.dst = mine + vca.member_col_start(m);
+        band.stride = total.cols;
+      } else {
+        band.dst = per_dest[static_cast<std::size_t>(q)].data() +
+                   band.rows.size() * cols_before;
+      }
     }
+    Dash5File file(members[m].path);
+    check_member_shape(file, members[m]);
+    file.scan_into(bands);
+    comm.charge_modeled_seconds(
+        io.call_cost(file.shape().size() * sizeof(double), comm.size()));
+    cols_before += cols;
   }
 
   // Phase 2: one all-to-all routes every remote block to its owner.

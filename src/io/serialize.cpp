@@ -2,27 +2,60 @@
 
 #include <array>
 
+#include "dassa/common/error.hpp"
+
 namespace dassa::io::detail {
 
 namespace {
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+
+/// Slicing-by-8 tables: row 0 is the classic bytewise table of the
+/// reflected IEEE polynomial; row k advances a byte through k further
+/// zero bytes, so eight input bytes fold in with eight independent
+/// lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = t[k - 1][i];
+      t[k][i] = (prev >> 8) ^ t[0][prev & 0xFFu];
+    }
+  }
+  return t;
 }
+
+/// Little-endian 32-bit load from any alignment; compilers fold it into
+/// one load on little-endian targets.
+std::uint32_t load_le32(const std::byte* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
 }  // namespace
 
 std::uint32_t crc32(const std::byte* data, std::size_t n) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  DASSA_CHECK(data != nullptr || n == 0, "crc32 of a null buffer");
+  static const CrcTables t = make_crc_tables();
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    c = table[(c ^ static_cast<std::uint32_t>(data[i])) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; data += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(data) ^ c;
+    const std::uint32_t hi = load_le32(data + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++data, --n) {
+    c = t[0][(c ^ static_cast<std::uint32_t>(*data)) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

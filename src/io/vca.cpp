@@ -226,9 +226,17 @@ void Vca::read_slab_into(const Slab2D& slab, double* dst,
                          std::size_t dst_stride) const {
   DASSA_CHECK(dst_stride >= slab.col_cnt,
               "destination stride narrower than the selection");
+  // Reading the whole VCA scans each member once. A window reads through
+  // the chunk cache even where it covers a member whole: the member
+  // handles live as long as the VCA, and the next window reuses tiles.
+  const bool whole = slab == Slab2D::whole(shape());
   for (const auto& piece : resolve(slab)) {
-    member_file(piece.member)
-        .read_slab_into(piece.slab, dst + piece.col_dst, dst_stride);
+    const Dash5File& file = member_file(piece.member);
+    if (whole) {
+      file.read_slab_into(piece.slab, dst + piece.col_dst, dst_stride);
+    } else {
+      file.read_window_into(piece.slab, dst + piece.col_dst, dst_stride);
+    }
   }
 }
 

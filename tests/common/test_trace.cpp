@@ -280,7 +280,7 @@ TEST_F(TraceTest, SummaryColumnsStaySeparatedWhenWide) {
 // ---- five-layer coverage ---------------------------------------------
 
 TEST_F(TraceTest, TracedEngineRunCoversAllFiveLayers) {
-  // A compressed v3 acquisition read collectively and pushed through a
+  // A compressed v3 acquisition read rank by rank and pushed through a
   // distributed row UDF that does real DSP: the resulting trace must
   // contain spans from every layer the tentpole instruments.
   TmpDir dir("tr5");
@@ -305,7 +305,9 @@ TEST_F(TraceTest, TracedEngineRunCoversAllFiveLayers) {
   core::EngineConfig config;
   config.nodes = 2;
   config.cores_per_node = 2;
-  config.read_method = core::ReadMethod::kCollectivePerFile;
+  // Each rank reads its own channel window, which goes through the
+  // chunk cache; whole-file reads bypass it.
+  config.read_method = core::ReadMethod::kDirectPerRank;
 
   set_enabled(true);
   (void)core::run_rows(config, vca, [](const core::RankContext&) {

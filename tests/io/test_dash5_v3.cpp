@@ -256,7 +256,8 @@ TEST(Dash5V3Test, ClosingAFileEvictsItsTiles) {
   const std::size_t entries0 = ChunkCache::global().entries();
   {
     Dash5File f(dir.file("x.dh5"));
-    (void)f.read_all();
+    // A partial-width window: whole-file scans are never admitted.
+    (void)f.read_slab({0, 0, 8, 64});
     EXPECT_GT(ChunkCache::global().entries(), entries0);
   }
   EXPECT_EQ(ChunkCache::global().entries(), entries0);
