@@ -1,13 +1,11 @@
 // DASSA common: fixed-size thread pool with parallel_for.
 //
-// HAEE's ApplyMT (paper Algorithm 1) uses OpenMP. In this reproduction
-// MiniMPI ranks are themselves threads, and nested `omp parallel`
-// regions launched from sibling rank-threads would contend for one
-// process-wide OpenMP runtime. ApplyMT therefore runs on this explicit
-// pool when executing inside a MiniMPI rank, and plain OpenMP remains
-// available for single-rank (node-local) execution. The pool reproduces
-// the same fork-join structure as `#pragma omp parallel for
-// schedule(static)`.
+// HAEE's ApplyMT (paper Algorithm 1) is one fork-join per Apply: a
+// static split of the cells across threads, per-thread result vectors
+// and a prefix merge. Every Apply with more than one thread runs it on
+// this pool: inside each MiniMPI rank (ranks are themselves threads, so
+// each rank owns its pool and sibling ranks never contend for a shared
+// threading runtime) and in the single-node pipelines alike.
 #pragma once
 
 #include <cstddef>

@@ -1,14 +1,14 @@
 // ArrayUDF core: the Apply operator, B = Apply(A, f).
 //
-// Three execution backends of the same operator:
-//  * apply_cells_serial  -- reference sequential execution;
+// Two execution backends of the same operator:
+//  * apply_cells_serial  -- reference sequential execution (the oracle);
 //  * apply_cells_mt      -- ApplyMT, paper Algorithm 1, on DASSA's
 //                           explicit thread pool (per-thread result
-//                           vectors + prefix merge);
-//  * apply_cells_omp     -- ApplyMT verbatim with OpenMP pragmas, for
-//                           single-rank (node-local) execution where no
-//                           MiniMPI rank threads compete for the OpenMP
-//                           runtime.
+//                           vectors + prefix merge).
+// apply_cells / apply_rows take a thread count and pick between them:
+// the serial oracle at one thread, ApplyMT on a pool of that many
+// threads otherwise. HAEE's ranks and the single-node pipelines both
+// enter there.
 // Each cell backend also takes a CellRowUdf, the row form of a cell
 // UDF: it is invoked once per owned channel and fills that channel's
 // cells in one pass, so a kernel can carry work from one cell to the
@@ -72,11 +72,6 @@ struct LocalBlock {
 [[nodiscard]] Array2D apply_cells_mt(const LocalBlock& block,
                                      const ScalarUdf& udf, ThreadPool& pool);
 
-/// ApplyMT via OpenMP, for single-rank execution. `threads` <= 0 uses
-/// the OpenMP default.
-[[nodiscard]] Array2D apply_cells_omp(const LocalBlock& block,
-                                      const ScalarUdf& udf, int threads);
-
 /// Row-form cell Apply, sequential.
 [[nodiscard]] Array2D apply_cells_serial(const LocalBlock& block,
                                          const CellRowUdf& udf);
@@ -85,10 +80,6 @@ struct LocalBlock {
 /// split statically across pool threads; each row is written in place.
 [[nodiscard]] Array2D apply_cells_mt(const LocalBlock& block,
                                      const CellRowUdf& udf, ThreadPool& pool);
-
-/// Row-form cell Apply via OpenMP (single-rank execution).
-[[nodiscard]] Array2D apply_cells_omp(const LocalBlock& block,
-                                      const CellRowUdf& udf, int threads);
 
 /// Ablation variant of apply_cells_mt: threads write straight into the
 /// pre-sized output instead of staging per-thread vectors (benched in
@@ -106,8 +97,15 @@ struct LocalBlock {
 [[nodiscard]] Array2D apply_rows_mt(const LocalBlock& block, const RowUdf& udf,
                                     ThreadPool& pool);
 
-/// ApplyMT per channel via OpenMP (single-rank execution).
-[[nodiscard]] Array2D apply_rows_omp(const LocalBlock& block,
-                                     const RowUdf& udf, int threads);
+/// Apply with `threads` threads (>= 1, else InvalidArgument): the
+/// serial form at 1, the pool form on a local ThreadPool otherwise.
+/// Rows and cells are independent, so the output is bitwise the same
+/// for every thread count.
+[[nodiscard]] Array2D apply_cells(const LocalBlock& block,
+                                  const ScalarUdf& udf, int threads);
+[[nodiscard]] Array2D apply_cells(const LocalBlock& block,
+                                  const CellRowUdf& udf, int threads);
+[[nodiscard]] Array2D apply_rows(const LocalBlock& block, const RowUdf& udf,
+                                 int threads);
 
 }  // namespace dassa::core

@@ -20,7 +20,8 @@
 //    nothing.
 //
 // DASSA's engine instead fuses the chain per channel and parallelises
-// across channels (apply_rows_omp), touching each channel once.
+// across channels (core::apply_rows on a thread pool), touching each
+// channel once.
 #pragma once
 
 #include "dassa/common/timer.hpp"
@@ -43,9 +44,10 @@ struct BaselineReport {
     const core::Array2D& data, const InterferometryParams& params);
 
 /// Run the same pipeline DASSA-style (fused per channel, parallel
-/// across channels) with identical numerics, for Fig. 9's comparison.
+/// across `threads` >= 1 Apply threads) with identical numerics, for
+/// Fig. 9's comparison.
 [[nodiscard]] BaselineReport dassa_interferometry(
     const core::Array2D& data, const InterferometryParams& params,
-    int threads = 0);
+    int threads);
 
 }  // namespace dassa::das

@@ -76,10 +76,10 @@ struct InterferometryPrep {
 [[nodiscard]] core::RowUdfFactory make_interferometry_factory(
     const InterferometryParams& p);
 
-/// Single-node execution with OpenMP threads.
+/// Single-node execution on `threads` Apply threads (>= 1, else
+/// InvalidArgument; the output is the same for every count).
 [[nodiscard]] core::Array2D interferometry_single_node(
-    const core::Array2D& data, const InterferometryParams& p,
-    int threads = 0);
+    const core::Array2D& data, const InterferometryParams& p, int threads);
 
 /// Distributed execution over a VCA through the HAEE engine.
 [[nodiscard]] core::EngineReport interferometry_distributed(

@@ -41,14 +41,15 @@ struct LocalSimilarityParams {
   [[nodiscard]] std::size_t halo() const { return channel_offset; }
 };
 
-/// Single-node execution over an in-memory array with OpenMP threads
-/// (threads <= 0 uses the OpenMP default). Cells whose full
+/// Single-node execution over an in-memory array on `threads` Apply
+/// threads (>= 1, else InvalidArgument; the output is the same for
+/// every count). Cells whose full
 /// neighbourhood (time span M+L on both sides, channels +-K) falls
 /// outside the array yield 0, as does a cell whose own window, or
 /// every neighbour window, holds only exact zeros.
 [[nodiscard]] core::Array2D local_similarity(const core::Array2D& data,
                                              const LocalSimilarityParams& p,
-                                             int threads = 0);
+                                             int threads);
 
 /// Distributed execution over a VCA through the HAEE engine. The
 /// engine's halo is overridden with the UDF's requirement. `col0` is

@@ -34,10 +34,12 @@ struct DasFileInfo {
 /// An in-memory catalog of DAS files, sorted by timestamp.
 class Catalog {
  public:
-  /// Scan a directory for *.dh5 files. When `read_headers` is true the
-  /// timestamp and shape come from each file's DASH5 metadata; when
-  /// false, the timestamp is parsed from the trailing
-  /// "_yymmddhhmmss.dh5" of the filename and shapes are left empty
+  /// Scan a directory for acquisition files: *.dh5 files whose name
+  /// ends in "_yymmddhhmmss.dh5", in both modes, so a merged RCA or
+  /// other .dh5 output written into the directory never joins the
+  /// catalog. When `read_headers` is true the timestamp and shape come
+  /// from each file's DASH5 metadata; when false, the timestamp is
+  /// parsed from the name's suffix and shapes are left empty
   /// (pure filename scan: no file opens, no reads, not even a stat
   /// per entry -- pinned by the counter regression test in
   /// tests/das/test_time_search.cpp).

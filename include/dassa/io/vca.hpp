@@ -32,6 +32,12 @@ struct VcaMember {
   friend bool operator==(const VcaMember&, const VcaMember&) = default;
 };
 
+/// Every VCA reader routes rows and columns by the shape the VCA
+/// recorded, so each member open checks it: a member rewritten to
+/// another shape since the VCA was built throws FormatError naming its
+/// path instead of being misread.
+void check_member_shape(const Dash5File& file, const VcaMember& member);
+
 /// A piece of a VCA selection mapped onto one member file.
 struct VcaPiece {
   std::size_t member = 0;  ///< index into members()

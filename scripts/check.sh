@@ -171,13 +171,19 @@ leg_tsan() {
   # writers), the ingest admission queue (blocking producers vs the
   # draining consumer), the query server (concurrent clients vs the
   # coalescing dispatcher, worker pool, mid-request shutdown drain), and
-  # the Algorithm 2 row kernel (per-thread scratch on pool and OpenMP
-  # threads).
+  # the Algorithm 2 and 3 pipelines, Fig. 9's DASSA side included
+  # (per-thread scratch on ApplyMT's pool threads). Nothing is
+  # suppressed: every Apply runs on ThreadPool.
   step "tsan: ThreadSanitizer, concurrency suite"
   cmake --preset tsan
   cmake --build --preset tsan -j "${JOBS}"
   ctest --preset tsan -j "${JOBS}" \
-    -R 'ThreadPool|Fft|P2pTest|CollectiveTest|InstrumentationTest|MpiStressTest|SplitTest|RuntimeTest|ParRead|BuildLocalBlock|GhostRows|HaeeTest|HaeeStress|HaeeMode|Apply|Codec|ChunkCache|Dash5V3|Trace|Telemetry|Repack|Simd|Ingest|Serve|Stats|MetricsDiff|LocalSimilarity|SimilarityOracle'
+    -R 'ThreadPool|Fft|P2pTest|CollectiveTest|InstrumentationTest|MpiStressTest|SplitTest|RuntimeTest|ParRead|BuildLocalBlock|GhostRows|HaeeTest|HaeeStress|HaeeMode|Apply|Codec|ChunkCache|Dash5V3|Trace|Telemetry|Repack|Simd|Ingest|Serve|Stats|MetricsDiff|LocalSimilarity|SimilarityOracle|InterferometryTest|BaselineTest'
+
+  # The similarity oracle grid races rank threads, pool threads and the
+  # row kernel's scratch; ten clean passes in a row, not one lucky one.
+  step "tsan: similarity oracle grid, 10 runs until failure"
+  ctest --preset tsan -R SimilarityOracle --repeat until-fail:10
 }
 
 leg_telemetry() {

@@ -1,7 +1,5 @@
 #include "dassa/core/apply.hpp"
 
-#include <omp.h>
-
 #include <cstring>
 
 #include "dassa/common/counters.hpp"
@@ -29,6 +27,12 @@ void validate(const LocalBlock& block) {
               "local block data does not match its shape");
   DASSA_CHECK(block.owned_local.end <= block.block_shape.rows,
               "owned range exceeds local block");
+}
+
+/// A thread-count entry runs on at least one thread; no default team
+/// size is picked for the caller.
+void check_threads(int threads) {
+  DASSA_CHECK(threads >= 1, "Apply needs at least one thread");
 }
 
 Array2D rows_from_results(std::vector<std::vector<double>>& results) {
@@ -136,21 +140,6 @@ Array2D apply_cells_mt(const LocalBlock& block, const CellRowUdf& udf,
   return out;
 }
 
-Array2D apply_cells_omp(const LocalBlock& block, const CellRowUdf& udf,
-                        int threads) {
-  validate(block);
-  const int team = threads > 0 ? threads : omp_get_max_threads();
-  Array2D out(Shape2D{block.owned_rows(), block.block_shape.cols});
-#pragma omp parallel for schedule(static) num_threads(team)
-  for (std::ptrdiff_t r = 0;
-       r < static_cast<std::ptrdiff_t>(block.owned_rows()); ++r) {
-    const auto row = static_cast<std::size_t>(r);
-    cell_rows(block, udf, out, row, row + 1);
-  }
-  charge_cells(owned_cell_count(block));
-  return out;
-}
-
 Array2D apply_cells_mt_direct(const LocalBlock& block, const ScalarUdf& udf,
                               ThreadPool& pool) {
   validate(block);
@@ -163,39 +152,6 @@ Array2D apply_cells_mt_direct(const LocalBlock& block, const ScalarUdf& udf,
     }
     charge_cells(end - begin);
   });
-  return out;
-}
-
-Array2D apply_cells_omp(const LocalBlock& block, const ScalarUdf& udf,
-                        int threads) {
-  validate(block);
-  const std::size_t n = owned_cell_count(block);
-  Array2D out(Shape2D{block.owned_rows(), block.block_shape.cols});
-
-  // Algorithm 1 verbatim, with OpenMP primitives: per-thread result
-  // vectors, a barrier, a single-thread prefix pass, then the merge.
-  const int team = threads > 0 ? threads : omp_get_max_threads();
-  std::vector<std::vector<double>> rp(static_cast<std::size_t>(team));
-  std::vector<std::size_t> prefix(static_cast<std::size_t>(team) + 1, 0);
-
-#pragma omp parallel num_threads(team)
-  {
-    const std::size_t h = static_cast<std::size_t>(omp_get_thread_num());
-    auto& mine = rp[h];
-#pragma omp for schedule(static)
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i) {
-      mine.push_back(udf(stencil_at(block, static_cast<std::size_t>(i))));
-    }
-    prefix[h + 1] = mine.size();
-#pragma omp barrier
-#pragma omp single
-    for (std::size_t t = 1; t <= static_cast<std::size_t>(team); ++t) {
-      prefix[t] += prefix[t - 1];
-    }
-    std::memcpy(out.data.data() + prefix[h], mine.data(),
-                mine.size() * sizeof(double));
-  }
-  charge_cells(n);
   return out;
 }
 
@@ -224,19 +180,27 @@ Array2D apply_rows_mt(const LocalBlock& block, const RowUdf& udf,
   return rows_from_results(results);
 }
 
-Array2D apply_rows_omp(const LocalBlock& block, const RowUdf& udf,
-                       int threads) {
-  validate(block);
-  const int team = threads > 0 ? threads : omp_get_max_threads();
-  std::vector<std::vector<double>> results(block.owned_rows());
-#pragma omp parallel for schedule(static) num_threads(team)
-  for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(results.size());
-       ++r) {
-    results[static_cast<std::size_t>(r)] =
-        udf(row_stencil(block, static_cast<std::size_t>(r)));
-  }
-  charge_rows(results.size());
-  return rows_from_results(results);
+Array2D apply_cells(const LocalBlock& block, const ScalarUdf& udf,
+                    int threads) {
+  check_threads(threads);
+  if (threads == 1) return apply_cells_serial(block, udf);
+  ThreadPool pool(static_cast<std::size_t>(threads));
+  return apply_cells_mt(block, udf, pool);
+}
+
+Array2D apply_cells(const LocalBlock& block, const CellRowUdf& udf,
+                    int threads) {
+  check_threads(threads);
+  if (threads == 1) return apply_cells_serial(block, udf);
+  ThreadPool pool(static_cast<std::size_t>(threads));
+  return apply_cells_mt(block, udf, pool);
+}
+
+Array2D apply_rows(const LocalBlock& block, const RowUdf& udf, int threads) {
+  check_threads(threads);
+  if (threads == 1) return apply_rows_serial(block, udf);
+  ThreadPool pool(static_cast<std::size_t>(threads));
+  return apply_rows_mt(block, udf, pool);
 }
 
 }  // namespace dassa::core

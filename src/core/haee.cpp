@@ -27,6 +27,15 @@ io::ParallelReadResult read_block(mpi::Comm& comm, const io::Vca& vca,
   throw InvalidArgument("unknown read method");
 }
 
+/// Entry guard of run_cells / run_rows: at least one rank, each running
+/// Apply on at least one thread, and a UDF factory to run.
+void check_engine_entry(const EngineConfig& config, bool has_factory) {
+  DASSA_CHECK(config.world_size() >= 1, "the engine needs at least one rank");
+  DASSA_CHECK(config.threads_per_rank() >= 1,
+              "each engine rank needs at least one Apply thread");
+  DASSA_CHECK(has_factory, "the engine needs a UDF factory");
+}
+
 /// The read result as the rank's block: same buffer, owned rows at
 /// local row halo.lo.
 LocalBlock adopt_read(io::ParallelReadResult&& read, Shape2D global) {
@@ -286,30 +295,22 @@ LocalBlock build_local_block_overlap(mpi::Comm& comm, const io::Vca& vca,
 
 EngineReport run_cells(const EngineConfig& config, const io::Vca& vca,
                        const ScalarUdfFactory& factory) {
+  check_engine_entry(config, factory != nullptr);
   return run_engine(
       config, vca,
       [&](RankContext& ctx) -> Array2D {
-        const ScalarUdf udf = factory(ctx);
-        if (ctx.threads > 1) {
-          ThreadPool pool(static_cast<std::size_t>(ctx.threads));
-          return apply_cells_mt(ctx.block, udf, pool);
-        }
-        return apply_cells_serial(ctx.block, udf);
+        return apply_cells(ctx.block, factory(ctx), ctx.threads);
       },
       0);
 }
 
 EngineReport run_cells(const EngineConfig& config, const io::Vca& vca,
                        const CellRowUdfFactory& factory) {
+  check_engine_entry(config, factory != nullptr);
   return run_engine(
       config, vca,
       [&](RankContext& ctx) -> Array2D {
-        const CellRowUdf udf = factory(ctx);
-        if (ctx.threads > 1) {
-          ThreadPool pool(static_cast<std::size_t>(ctx.threads));
-          return apply_cells_mt(ctx.block, udf, pool);
-        }
-        return apply_cells_serial(ctx.block, udf);
+        return apply_cells(ctx.block, factory(ctx), ctx.threads);
       },
       0);
 }
@@ -317,15 +318,11 @@ EngineReport run_cells(const EngineConfig& config, const io::Vca& vca,
 EngineReport run_rows(const EngineConfig& config, const io::Vca& vca,
                       const RowUdfFactory& factory,
                       std::size_t extra_bytes_per_rank) {
+  check_engine_entry(config, factory != nullptr);
   return run_engine(
       config, vca,
       [&](RankContext& ctx) -> Array2D {
-        const RowUdf udf = factory(ctx);
-        if (ctx.threads > 1) {
-          ThreadPool pool(static_cast<std::size_t>(ctx.threads));
-          return apply_rows_mt(ctx.block, udf, pool);
-        }
-        return apply_rows_serial(ctx.block, udf);
+        return apply_rows(ctx.block, factory(ctx), ctx.threads);
       },
       extra_bytes_per_rank);
 }

@@ -104,6 +104,7 @@ BaselineReport baseline_interferometry(const core::Array2D& data,
 BaselineReport dassa_interferometry(const core::Array2D& data,
                                     const InterferometryParams& p,
                                     int threads) {
+  DASSA_CHECK(threads >= 1, "DASSA interferometry needs at least one thread");
   BaselineReport report;
   StageScope scope(report.stages, "compute");
   report.output = interferometry_single_node(data, p, threads);

@@ -114,12 +114,13 @@ core::RowUdfFactory make_interferometry_factory(
 core::Array2D interferometry_single_node(const core::Array2D& data,
                                          const InterferometryParams& p,
                                          int threads) {
+  DASSA_CHECK(threads >= 1, "interferometry needs at least one thread");
   DASSA_CHECK(p.master_channel < data.shape.rows,
               "master channel outside the array");
   global_counters().add(counters::kMemMasterChannelCopies);
   const core::RowUdf udf = make_interferometry_udf(
       p, interferometry_spectrum(data.row(p.master_channel), p));
-  return core::apply_rows_omp(core::LocalBlock::whole(data), udf, threads);
+  return core::apply_rows(core::LocalBlock::whole(data), udf, threads);
 }
 
 core::EngineReport interferometry_distributed(const core::EngineConfig& config,

@@ -220,8 +220,8 @@ void check_params(const LocalSimilarityParams& p) {
 core::Array2D local_similarity(const core::Array2D& data,
                                const LocalSimilarityParams& p, int threads) {
   check_params(p);
-  return core::apply_cells_omp(core::LocalBlock::whole(data),
-                               RowKernel(p, 0), threads);
+  return core::apply_cells(core::LocalBlock::whole(data), RowKernel(p, 0),
+                           threads);
 }
 
 core::EngineReport local_similarity_distributed(

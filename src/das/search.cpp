@@ -29,15 +29,20 @@ std::string timestamp_from_name(const std::filesystem::path& p) {
 }  // namespace
 
 Catalog Catalog::scan(const std::string& dir, bool read_headers) {
+  DASSA_CHECK(!dir.empty(), "catalog scan needs a directory");
   std::vector<DasFileInfo> entries;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    // Extension first: a pure string test, so non-acquisition clutter
-    // costs nothing. The metadata-light path below also skips the
-    // is_regular_file() stat -- a names-only scan of a large spool
-    // touches the directory entries and nothing else (the timestamp
-    // suffix requirement already rejects any pathological directory
-    // named like an acquisition file).
+    // The name decides what an acquisition file is, in both modes: a
+    // pure string test, so clutter costs nothing, and a merged RCA or
+    // any other .dh5 written next to the acquisition (no
+    // "_yymmddhhmmss" suffix) stays out of the catalog. The names-only
+    // path also skips the is_regular_file() stat -- it touches the
+    // directory entries and nothing else (the suffix rule already
+    // rejects any pathological directory named like an acquisition
+    // file).
     if (entry.path().extension() != ".dh5") continue;
+    const std::string ts = timestamp_from_name(entry.path());
+    if (ts.empty()) continue;  // not an acquisition file
     DasFileInfo info;
     info.path = entry.path().string();
     if (read_headers) {
@@ -47,8 +52,6 @@ Catalog Catalog::scan(const std::string& dir, bool read_headers) {
           Timestamp::parse(h.global.get_or_throw(io::meta::kTimeStamp));
       info.shape = h.shape;
     } else {
-      const std::string ts = timestamp_from_name(entry.path());
-      if (ts.empty()) continue;  // not an acquisition file
       info.timestamp = Timestamp::parse(ts);
     }
     entries.push_back(std::move(info));

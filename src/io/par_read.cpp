@@ -43,16 +43,6 @@ double* owned_data(ParallelReadResult& result) {
   return result.data.data() + result.halo.lo * result.shape.cols;
 }
 
-/// Whole-file readers route rows and columns by the shape the VCA
-/// recorded, so a member rewritten since the VCA was built is refused
-/// instead of misread.
-void check_member_shape(const Dash5File& file, const VcaMember& member) {
-  if (file.shape() != member.shape) {
-    throw FormatError(member.path + " is " + file.shape().str() +
-                      " but the VCA recorded " + member.shape.str());
-  }
-}
-
 Range rank_rows(const mpi::Comm& comm, std::size_t total_rows, int rank) {
   return even_chunk(total_rows, static_cast<std::size_t>(comm.size()),
                     static_cast<std::size_t>(rank));
@@ -201,6 +191,7 @@ ParallelReadResult read_vca_direct_per_rank(mpi::Comm& comm, const Vca& vca,
   const auto& members = vca.members();
   for (std::size_t m = 0; m < members.size(); ++m) {
     Dash5File file(members[m].path);
+    check_member_shape(file, members[m]);
     const Slab2D slab{rows.begin, 0, rows.size(), members[m].shape.cols};
     if (!slab.empty()) {
       file.read_slab_into(slab, mine + vca.member_col_start(m), total.cols);

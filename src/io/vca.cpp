@@ -24,13 +24,24 @@ struct Vca::MemberFiles {
   std::vector<std::unique_ptr<Dash5File>> files DASSA_GUARDED_BY(mu);
 };
 
+void check_member_shape(const Dash5File& file, const VcaMember& member) {
+  if (file.shape() != member.shape) {
+    throw FormatError(member.path + " is " + file.shape().str() +
+                      " but the VCA recorded " + member.shape.str());
+  }
+}
+
 Dash5File& Vca::member_file(std::size_t i) const {
   DASSA_CHECK(handles_ != nullptr, "member_file on an unbuilt VCA");
   MutexLock lock(handles_->mu);
   DASSA_CHECK(i < handles_->files.size(),
               "member_file index out of range");
   if (!handles_->files[i]) {
-    handles_->files[i] = std::make_unique<Dash5File>(members_[i].path);
+    // Checked once per open, before the handle is kept: later windows
+    // over this member reuse a handle already known to fit.
+    auto file = std::make_unique<Dash5File>(members_[i].path);
+    check_member_shape(*file, members_[i]);
+    handles_->files[i] = std::move(file);
   }
   return *handles_->files[i];
 }

@@ -1,6 +1,6 @@
 // Apply engine tests: all backends (serial, pool-MT Algorithm 1,
-// direct-MT ablation, OpenMP) must agree with each other on cell and
-// row UDFs, including blocks with ghost rows.
+// direct-MT ablation) and the thread-count entries must agree with each
+// other on cell and row UDFs, including blocks with ghost rows.
 #include "dassa/core/apply.hpp"
 
 #include <gtest/gtest.h>
@@ -55,7 +55,7 @@ TEST_P(ApplyBackendTest, AllBackendsMatchSerial) {
   ThreadPool pool(static_cast<std::size_t>(threads));
   EXPECT_EQ(apply_cells_mt(block, moving_avg_udf, pool), ref);
   EXPECT_EQ(apply_cells_mt_direct(block, moving_avg_udf, pool), ref);
-  EXPECT_EQ(apply_cells_omp(block, moving_avg_udf, threads), ref);
+  EXPECT_EQ(apply_cells(block, moving_avg_udf, threads), ref);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ApplyBackendTest,
@@ -101,7 +101,7 @@ TEST_P(ApplyBackendTest, RowFormMatchesScalarAndChargesOwnedCells) {
   EXPECT_EQ(apply_cells_mt(block, row_udf, pool), ref);
   EXPECT_EQ(cells_processed() - before, owned);
   before = cells_processed();
-  EXPECT_EQ(apply_cells_omp(block, row_udf, threads), ref);
+  EXPECT_EQ(apply_cells(block, row_udf, threads), ref);
   EXPECT_EQ(cells_processed() - before, owned);
 }
 
@@ -184,9 +184,11 @@ TEST(ApplyRowsTest, BackendsMatchAndLengthsEnforced) {
     return out;
   };
   const Array2D ref = apply_rows_serial(block, udf);
-  ThreadPool pool(3);
-  EXPECT_EQ(apply_rows_mt(block, udf, pool), ref);
-  EXPECT_EQ(apply_rows_omp(block, udf, 3), ref);
+  for (const int threads : {1, 2, 3, 8}) {
+    ThreadPool pool(static_cast<std::size_t>(threads));
+    EXPECT_EQ(apply_rows_mt(block, udf, pool), ref) << threads;
+    EXPECT_EQ(apply_rows(block, udf, threads), ref) << threads;
+  }
 
   // Inconsistent lengths must be rejected.
   const RowUdf bad = [](const Stencil& s) -> std::vector<double> {
@@ -204,6 +206,19 @@ TEST(ApplyTest, ValidatesBlockConsistency) {
   EXPECT_THROW(
       (void)apply_cells_serial(block, [](const Stencil&) { return 0.0; }),
       InvalidArgument);
+}
+
+TEST(ApplyTest, ThreadCountEntriesNeedAThread) {
+  const Array2D a = random_array({3, 8});
+  const LocalBlock block = LocalBlock::whole(a);
+  const CellRowUdf row_udf = moving_avg_row;
+  const RowUdf rows = [](const Stencil&) { return std::vector<double>{1.0}; };
+  for (const int threads : {0, -1}) {
+    EXPECT_THROW((void)apply_cells(block, moving_avg_udf, threads),
+                 InvalidArgument);
+    EXPECT_THROW((void)apply_cells(block, row_udf, threads), InvalidArgument);
+    EXPECT_THROW((void)apply_rows(block, rows, threads), InvalidArgument);
+  }
 }
 
 TEST(ApplyTest, EmptyOwnedRegionGivesEmptyOutput) {

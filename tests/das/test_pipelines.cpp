@@ -8,6 +8,7 @@
 #include <random>
 
 #include "dassa/common/counters.hpp"
+#include "dassa/common/error.hpp"
 #include "dassa/das/baseline.hpp"
 #include "dassa/das/interferometry.hpp"
 #include "dassa/das/local_similarity.hpp"
@@ -96,9 +97,11 @@ TEST(LocalSimilarityTest, ThreadCountDoesNotChangeResult) {
   LocalSimilarityParams p;
   p.window_half = 3;
   p.lag_half = 2;
-  const core::Array2D a = local_similarity(data, p, 1);
-  const core::Array2D b = local_similarity(data, p, 4);
-  EXPECT_EQ(a, b);
+  const core::Array2D serial = local_similarity(data, p, 1);
+  for (const int threads : {2, 3, 4, 8}) {
+    EXPECT_EQ(local_similarity(data, p, threads), serial) << threads;
+  }
+  EXPECT_THROW((void)local_similarity(data, p, 0), InvalidArgument);
 }
 
 TEST(LocalSimilarityTest, DistributedMatchesSingleNode) {
@@ -222,6 +225,26 @@ TEST(InterferometryTest, FullCorrelationPeaksAtSharedLag) {
     if (out.at(1, i) > out.at(1, argmax)) argmax = i;
   }
   EXPECT_EQ(argmax, 0u);
+}
+
+TEST(InterferometryTest, ThreadCountDoesNotChangeResult) {
+  core::Array2D data(Shape2D{11, 300});
+  std::mt19937_64 rng(21);
+  std::normal_distribution<double> dist;
+  for (auto& v : data.data) v = dist(rng);
+  for (const bool full : {false, true}) {
+    InterferometryParams p = test_params();
+    p.full_correlation = full;
+    const core::Array2D serial = interferometry_single_node(data, p, 1);
+    for (const int threads : {2, 3, 8}) {
+      EXPECT_EQ(interferometry_single_node(data, p, threads), serial)
+          << threads << (full ? " threads, full correlation" : " threads");
+    }
+  }
+  EXPECT_THROW((void)interferometry_single_node(data, test_params(), 0),
+               InvalidArgument);
+  EXPECT_THROW((void)dassa_interferometry(data, test_params(), 0),
+               InvalidArgument);
 }
 
 TEST(InterferometryTest, DistributedMatchesSingleNodeBothModes) {

@@ -295,5 +295,39 @@ TEST(ParReadCountsTest, DirectPerRankScalesWithRanksTimesFiles) {
   EXPECT_EQ(global_counters().get(counters::kMpiP2pMsgs), 0u);
 }
 
+/// The message of the FormatError `read` throws; fails the test if it
+/// throws none.
+std::string format_error(const std::function<void()>& read) {
+  try {
+    read();
+  } catch (const FormatError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "no FormatError";
+  return {};
+}
+
+TEST(ParReadTest, MemberRewrittenAfterBuildIsRefusedNotMisread) {
+  TmpDir dir("prw");
+  Fixture fx(dir, 6, 3, 5);
+  const Vca vca = Vca::build(fx.files);
+  // Member 1 (VCA columns [5, 10)) is rewritten two columns wider.
+  Dash5Header h;
+  h.shape = {6, 7};
+  dash5_write(fx.files[1], h, std::vector<double>(h.shape.size(), 1.0));
+
+  // A window inside member 0 still reads; one inside member 1 does not.
+  EXPECT_EQ(vca.read_slab({1, 1, 2, 3}).front(), fx.data[fx.global.at(1, 1)]);
+  EXPECT_NE(format_error([&] { (void)vca.read_slab({1, 6, 2, 3}); })
+                .find(fx.files[1]),
+            std::string::npos);
+  EXPECT_NE(format_error([&] {
+              mpi::Runtime::run(2, [&](mpi::Comm& comm) {
+                (void)read_vca_direct_per_rank(comm, vca);
+              });
+            }).find(fx.files[1]),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace dassa::io
